@@ -64,7 +64,6 @@ from .pulses import (
     SmoothStep,
     SoftSquarePulse,
     build_schedule,
-    check_normalization,
     make_gate,
 )
 from .scenario import (

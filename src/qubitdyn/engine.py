@@ -34,12 +34,13 @@ multiple of 2 pi of accumulated free phase.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .generators import (
+    STEADY_KINDS,
     GeneratorSet,
     HamiltonianSpec,
     beta_suppressed,
@@ -51,7 +52,7 @@ from .generators import (
     trace_product,
 )
 from .observables import ObservableRow, fidelity, observable_row
-from .pulses import BiasPulse, MeasurementWindow
+from .pulses import MeasurementWindow
 from .spincore import (
     CLAMP_EPS,
     adjoint,
@@ -78,10 +79,7 @@ class PositivityError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step sizes, hygiene cadence, and sampling policy.
-
-    base_step None resolves to larmor_period/2000 at integrate() time.
-    """
+    """Step sizes, hygiene cadence, and sampling policy."""
 
     base_step: float | None = None
     pulse_refinement: int = 50
@@ -89,6 +87,12 @@ class IntegratorConfig:
     positivity_floor: float = -1e-9
     samples: int = 500
     include_larmor_grid: bool = True
+
+    def resolved_base_step(self, omega_l: float) -> float:
+        """base_step, or one two-thousandth of the Larmor period when unset."""
+        if self.base_step is not None:
+            return self.base_step
+        return 2.0 * math.pi / omega_l / 2000.0
 
 
 @dataclass
@@ -126,23 +130,21 @@ class Trajectory:
         raise KeyError(f"no sample at t={t!r}")
 
 
-def _refinement_intervals(gens: GeneratorSet) -> list[tuple[float, float]]:
-    out = []
-    for g in gens.hamiltonian.gates:
-        out.append(g.support())
-    if gens.hamiltonian.axis_rotation is not None:
-        out.append(gens.hamiltonian.axis_rotation.step.support())
-    for op in gens.lindblads:
-        if op.envelope is not None:
-            out.append(op.envelope.support())
+def _spans(gens: GeneratorSet) -> list[tuple[float, float, bool]]:
+    """Support (lo, hi, moves_h) of every time-dependent part; gates, bias
+    holds and the axis-rotation step move H, Lindblad envelopes do not."""
+    hspec = gens.hamiltonian
+    out = [g.support() for g in hspec.gates] + [b.support() for b in hspec.bias_holds]
+    if hspec.axis_rotation is not None:
+        out.append(hspec.axis_rotation.step.support())
+    out = [(lo, hi, True) for lo, hi in out]
+    out += [(*op.envelope.support(), False) for op in gens.lindblads if op.envelope is not None]
     return out
 
 
-def _build_knots(
-    t0: float, t1: float, intervals, sample_times
-) -> np.ndarray:
+def _build_knots(t0: float, t1: float, spans, sample_times) -> np.ndarray:
     pts = [t0, t1]
-    for lo, hi in intervals:
+    for lo, hi, _ in spans:
         if t0 < lo < t1:
             pts.append(lo)
         if t0 < hi < t1:
@@ -186,37 +188,28 @@ def integrate(
 
     hspec = gens.hamiltonian
     omega_l = hspec.omega_l
-    period = 2.0 * math.pi / omega_l
-    base = cfg.base_step if cfg.base_step is not None else period / 2000.0
+    base = cfg.resolved_base_step(omega_l)
     fine = base / cfg.pulse_refinement
-    time_dep = bool(hspec.gates) or hspec.axis_rotation is not None
 
     extra = [] if sample_times is None else list(np.asarray(sample_times, float))
     if cfg.samples and cfg.samples > 1:
         extra.extend(np.linspace(t0, t1, cfg.samples))
     if cfg.include_larmor_grid:
         extra.extend(larmor_grid_times(t1, omega_l, hspec.gates, t_start=t0))
-    intervals = _refinement_intervals(gens)
-    knots = _build_knots(t0, t1, intervals, extra)
+    spans = _spans(gens)
+    knots = _build_knots(t0, t1, spans, extra)
 
+    # outside the supports of the parts that move H, H is exactly the
+    # static term, so the rebuild (and dH/dt, identically zero there) can
+    # be skipped; with an axis rotation present H is treated as
+    # time-dependent throughout
+    h_always = hspec.axis_rotation is not None
+    h_spans = [(lo, hi) for lo, hi, moves_h in spans if moves_h]
+    h_static = hamiltonian(HamiltonianSpec(omega_l=omega_l), t0) if not h_always else None
     zero_h = np.zeros((2, 2), dtype=complex)
 
-    # outside every gate support H is exactly the static term, so the
-    # rebuild (and dH/dt, identically zero there) can be skipped; with an
-    # axis rotation present H is treated as time-dependent throughout
-    h_always = hspec.axis_rotation is not None
-    h_spans = sorted(
-        [g.support() for g in hspec.gates]
-        + [b.support() for b in hspec.bias_holds]
-    )
-    h_starts = [lo for lo, _ in h_spans]
-    h_static = hamiltonian(HamiltonianSpec(omega_l=omega_l), t0) if not h_always else None
-
     def h_varies(t: float) -> bool:
-        if h_always:
-            return True
-        i = bisect_right(h_starts, t) - 1
-        return i >= 0 and t <= h_spans[i][1]
+        return h_always or any(lo <= t <= hi for lo, hi in h_spans)
 
     def stage(t: float, rho: np.ndarray):
         if h_varies(t):
@@ -247,7 +240,7 @@ def integrate(
 
     def record(t: float):
         h = hamiltonian(hspec, t)
-        hd = hamiltonian_dot(hspec, t) if time_dep else zero_h
+        hd = hamiltonian_dot(hspec, t) if h_varies(t) else zero_h
         rho_dot = rhs_given_h(t, rho, gens, h, eps)
         rows.append(observable_row(t, rho, h, hd, rho_dot, omega_l))
         states.append(rho.copy())
@@ -257,7 +250,7 @@ def integrate(
     record(t0)
     for a, b in zip(knots[:-1], knots[1:]):
         mid = 0.5 * (a + b)
-        target = fine if any(lo <= mid <= hi for lo, hi in intervals) else base
+        target = fine if any(lo <= mid <= hi for lo, hi, _ in spans) else base
         n = max(1, math.ceil((b - a) / target))
         h_step = (b - a) / n
         t = a
@@ -319,9 +312,6 @@ def integrate(
     )
 
 
-STEADY_CASES = ("sx", "sy", "sz", "s+", "s-")
-
-
 def steady_analytic(kind: str, p0, gamma: float, omega_l: float, t: float) -> np.ndarray:
     """Closed-form polarization for free precession plus one constant
     Lindblad operator.
@@ -363,7 +353,7 @@ def steady_analytic(kind: str, p0, gamma: float, omega_l: float, t: float) -> np
         pole = 1.0 if kind == "s+" else -1.0
         pz = pole + math.exp(-gamma * t) * (pz0 - pole)
     else:
-        raise ValueError(f"unknown steady case {kind!r}; expected one of {STEADY_CASES}")
+        raise ValueError(f"unknown steady case {kind!r}; expected one of {STEADY_KINDS}")
     return np.array([px, py, pz])
 
 
@@ -412,20 +402,17 @@ def measure(
     The window length is pi/gamma, which drives the components
     perpendicular to the measurement direction down by about exp(-2 pi)
     while the parallel component rides through nearly unchanged.  The
-    run is flagged when the rate is weak against precession
-    (gamma < 20 omega_L) and when the parallel component drifts by more
-    than 5e-3.
+    window's hold keeps precession off throughout, as in a scenario run;
+    larmor_grid_times does not shift by it, since ideal_reference ignores
+    measurements anyway.  The run is flagged when the rate is weak against
+    precession (gamma < 20 omega_L) and when the parallel component
+    drifts by more than 5e-3.
     """
     window = MeasurementWindow.for_rate(t1, gamma, direction)
-    op = measurement_op(window, gamma)
     lo, hi = window.support()
-    # hold off precession over the whole window, as a bias pulse making
-    # the levels degenerate would; edge midpoints sit outside [lo, hi]
-    # so the suppression is complete to below 1e-8 throughout
-    hold = BiasPulse(lo - 4.0 * window.r, hi + 4.0 * window.r, window.r)
     gens = GeneratorSet(
-        hamiltonian=HamiltonianSpec(omega_l=omega_l, bias_holds=(hold,)),
-        lindblads=(op,),
+        hamiltonian=HamiltonianSpec(omega_l=omega_l, bias_holds=(window.hold(),)),
+        lindblads=(measurement_op(window, gamma),),
     )
     traj = integrate(gens, rho_in, (lo, hi), cfg)
     m = np.asarray(window.direction, dtype=float)

@@ -39,11 +39,6 @@ def entropy_base2(rho: np.ndarray, eps: float = CLAMP_EPS) -> float:
     return total
 
 
-def entropy_nat(rho: np.ndarray, eps: float = CLAMP_EPS) -> float:
-    """Von Neumann entropy in natural units (nats)."""
-    return entropy_base2(rho, eps) * math.log(2.0)
-
-
 def entropy_rate_base2(rho: np.ndarray, rho_dot: np.ndarray, eps: float = CLAMP_EPS) -> float:
     """Instantaneous entropy rate -Tr[rho_dot log2 rho] in bits per nsec."""
     return float(-np.trace(rho_dot @ matrix_log_clamped(rho, eps)).real / math.log(2.0))
@@ -123,13 +118,6 @@ def temperature_rate_ratio(bloch, bloch_dot, omega_l: float) -> float:
     return (HBAR * omega_l / KBOLTZ) * (pd_vec[2] / p_rate) / math.log((1.0 + p) / (1.0 - p))
 
 
-def level_occupations(rho: np.ndarray, h: np.ndarray) -> tuple[float, float]:
-    """Occupations (n1, n2) of rho in the eigenbasis of h, lower level first."""
-    _, u = eigh2(h)
-    occ = adjoint(u) @ rho @ u
-    return occ[0, 0].real, occ[1, 1].real
-
-
 @dataclass(frozen=True)
 class ObservableRow:
     """Every tracked observable at one sample time."""
@@ -145,8 +133,6 @@ class ObservableRow:
     heat_rate: float
     temp_occupation: float
     temp_rate_ratio: float
-    occ_n1: float
-    occ_n2: float
 
 
 def observable_row(
@@ -161,7 +147,6 @@ def observable_row(
     bloch = density_to_bloch(rho)
     bloch_dot = density_to_bloch(rho_dot)
     lam1, lam2 = eigenvalues(rho)
-    n1, n2 = level_occupations(rho, h)
     return ObservableRow(
         t=t,
         bloch=(bloch[0], bloch[1], bloch[2]),
@@ -174,6 +159,4 @@ def observable_row(
         heat_rate=heat_rate(h, rho_dot),
         temp_occupation=temperature_occupation(rho, h),
         temp_rate_ratio=temperature_rate_ratio(bloch, bloch_dot, omega_l),
-        occ_n1=n1,
-        occ_n2=n2,
     )

@@ -13,7 +13,8 @@ derivative used in the work/power bookkeeping is analytic.  Shapes:
   gate acts.
 * Smooth step           (1 + erf(t/a))/2 for slow axis reorientation.
 * Measurement window    unit-peak soft square of width pi/Gamma with edge
-  width one percent of the width.
+  width one percent of the width, plus the bias hold that keeps
+  precession off while it acts.
 
 A pulse's support is the interval outside which it is numerically zero
 (8 widths past the edges, below 1e-27 of peak); integrators refine their
@@ -38,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .spincore import SIGMA1, SIGMA3
 
@@ -75,6 +75,18 @@ class GaussianPulse:
 NORMALIZATIONS = ("gate", "unit-peak", "unit-area")
 
 
+def _erf_window(t: float, t1: float, t2: float, tau: float) -> float:
+    """Raw soft-square window 0.5 [erf((t-t1)/tau) - erf((t-t2)/tau)]."""
+    return 0.5 * (math.erf((t - t1) / tau) - math.erf((t - t2) / tau))
+
+
+def _erf_window_dot(t: float, t1: float, t2: float, tau: float) -> float:
+    """Time derivative of _erf_window."""
+    x1 = (t - t1) / tau
+    x2 = (t - t2) / tau
+    return (math.exp(-x1 * x1) - math.exp(-x2 * x2)) / (math.sqrt(math.pi) * tau)
+
+
 @dataclass(frozen=True)
 class SoftSquarePulse:
     """Soft square window between t1 and t2 with erf edges of width tau."""
@@ -100,14 +112,10 @@ class SoftSquarePulse:
         return 1.0 / math.erf(0.5 * width / self.tau)
 
     def value(self, t: float) -> float:
-        raw = 0.5 * (math.erf((t - self.t1) / self.tau) - math.erf((t - self.t2) / self.tau))
-        return self.norm_factor() * raw
+        return self.norm_factor() * _erf_window(t, self.t1, self.t2, self.tau)
 
     def derivative(self, t: float) -> float:
-        x1 = (t - self.t1) / self.tau
-        x2 = (t - self.t2) / self.tau
-        raw = (math.exp(-x1 * x1) - math.exp(-x2 * x2)) / (math.sqrt(math.pi) * self.tau)
-        return self.norm_factor() * raw
+        return self.norm_factor() * _erf_window_dot(t, self.t1, self.t2, self.tau)
 
     def area(self) -> float:
         return self.norm_factor() * (self.t2 - self.t1)
@@ -137,16 +145,10 @@ class BiasPulse:
         return math.erf(0.5 * (self.t2_tilde - self.t1_tilde) / self.tau)
 
     def value(self, t: float) -> float:
-        raw = 0.5 * (
-            math.erf((t - self.t1_tilde) / self.tau) - math.erf((t - self.t2_tilde) / self.tau)
-        )
-        return raw / self._peak()
+        return _erf_window(t, self.t1_tilde, self.t2_tilde, self.tau) / self._peak()
 
     def derivative(self, t: float) -> float:
-        x1 = (t - self.t1_tilde) / self.tau
-        x2 = (t - self.t2_tilde) / self.tau
-        raw = (math.exp(-x1 * x1) - math.exp(-x2 * x2)) / (math.sqrt(math.pi) * self.tau)
-        return raw / self._peak()
+        return _erf_window_dot(t, self.t1_tilde, self.t2_tilde, self.tau) / self._peak()
 
     def support(self) -> tuple[float, float]:
         return (
@@ -172,25 +174,6 @@ class SmoothStep:
     def support(self) -> tuple[float, float]:
         # outside this the step is constant; only the transition needs refinement
         return (self.t0 - SUPPORT_WIDTHS * self.a, self.t0 + SUPPORT_WIDTHS * self.a)
-
-
-def check_normalization(pulse) -> float:
-    """Quadrature audit of a pulse's area against its nominal value.
-
-    Integrates the envelope over its own support and, when the pulse
-    declares a nominal area, raises if the two differ by more than 1e-6.
-    Catches misconfigured envelopes before they corrupt a run; gate
-    pulses come back as pi/2.
-    """
-    lo, hi = pulse.support()
-    total = float(quad(pulse.value, lo, hi, limit=200)[0])
-    if hasattr(pulse, "area"):
-        nominal = pulse.area()
-        if abs(total - nominal) > 1e-6:
-            raise ValueError(
-                f"pulse area {total!r} deviates from nominal {nominal!r} beyond 1e-6"
-            )
-    return total
 
 
 @dataclass(frozen=True)
@@ -223,6 +206,12 @@ class MeasurementWindow:
 
     def support(self) -> tuple[float, float]:
         return self.envelope().support()
+
+    def hold(self) -> BiasPulse:
+        """Bias pulse holding precession off across the support, to below
+        1e-8: its edge midpoints sit 4 r outside it."""
+        lo, hi = self.support()
+        return BiasPulse(lo - 4.0 * self.r, hi + 4.0 * self.r, self.r)
 
 
 @dataclass(frozen=True)

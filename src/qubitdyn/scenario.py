@@ -90,6 +90,7 @@ import numpy as np
 import yaml
 
 from .engine import (
+    WEAK_MEASUREMENT_RATIO,
     IntegratorConfig,
     Trajectory,
     fidelity_on_larmor_grid,
@@ -103,6 +104,7 @@ from .generators import (
     GeneratorSet,
     HamiltonianSpec,
     LindbladOp,
+    delta_p,
     measurement_op,
     steady_op,
 )
@@ -518,6 +520,7 @@ def scenario_from_dict(data, default_name: str = "scenario") -> Scenario:
         samples=outputs.samples,
         include_larmor_grid=outputs.grid_report,
     )
+    _check_step_stability(omega_l, lindblads, integrator.resolved_base_step(omega_l))
 
     scenario = Scenario(
         name=name,
@@ -538,6 +541,37 @@ def scenario_from_dict(data, default_name: str = "scenario") -> Scenario:
         resolved={},
     )
     return replace(scenario, resolved=_resolved_echo(scenario))
+
+
+def _check_step_stability(omega_l: float, ops, base_step: float) -> None:
+    """Reject a base step at which RK4 amplifies a decaying mode of the
+    linear Bloch drift of precession plus the constant Lindblad operators.
+
+    Growing modes (feedback rates), pulsed operators and the nonlinear
+    terms are not checked.
+    """
+    drift = np.array([[0.0, omega_l, 0.0], [-omega_l, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for op in ops:
+        v = delta_p(op.alpha0, op.alpha, np.zeros(3))
+        cols = [delta_p(op.alpha0, op.alpha, e) - v for e in np.eye(3)]
+        drift += 2.0 * op.gamma * np.column_stack(cols)
+    decaying = [lam for lam in np.linalg.eigvals(drift) if lam.real < 0.0]
+
+    def stable(h: float) -> bool:
+        # |R(z)| <= 1 for R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, z = h lambda;
+        # the 1e-12 slack absorbs roundoff on lightly damped precession modes
+        zs = [h * lam for lam in decaying]
+        return all(abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))) <= 1 + 1e-12 for z in zs)
+
+    if not stable(base_step):
+        lo, hi = 0.0, base_step
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+        raise ScenarioError(
+            f"integrator.base_step: RK4 at {base_step:.6g} amplifies a decaying mode of the "
+            f"constant lindblads; the largest stable base_step is {lo:.6g}"
+        )
 
 
 def _resolved_echo(s: Scenario) -> dict:
@@ -675,6 +709,7 @@ def build_generators(scenario: Scenario, noise_ops=()) -> GeneratorSet:
             omega_l=scenario.omega_l,
             gates=scenario.schedule.gates,
             axis_rotation=scenario.axis_rotation,
+            bias_holds=tuple(w.hold() for w in scenario.measurements),
         ),
         lindblads=tuple(ops),
         beretta=scenario.beretta,
@@ -785,7 +820,7 @@ def assemble_events(scenario: Scenario, traj: Trajectory, noise_ops) -> list[dic
             marker["parallel_drift"] = drift
         except KeyError:
             pass
-        if gamma < 20.0 * scenario.omega_l:
+        if gamma < WEAK_MEASUREMENT_RATIO * scenario.omega_l:
             marker["weak_rate_warning"] = True
         events.append(marker)
     events.extend(dict(e) for e in traj.events)

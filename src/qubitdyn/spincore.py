@@ -22,12 +22,7 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA0, SIGMA1, SIGMA2, SIGMA3)
 
-# sigma_minus raises |0> to |1>; sigma_plus lowers |1> to the ground state |0>
-SIGMA_PLUS = (SIGMA1 + 1.0j * SIGMA2) / math.sqrt(2.0)
-SIGMA_MINUS = (SIGMA1 - 1.0j * SIGMA2) / math.sqrt(2.0)
-
 KET0 = np.array([1.0, 0.0], dtype=complex)
-KET1 = np.array([0.0, 1.0], dtype=complex)
 
 # floor for eigenvalues inside logs; keeps pure states finite
 CLAMP_EPS = 1e-12

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +59,24 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.yaml")]) == 2
+
+    def test_stiff_lindblad_exits_2(self, tmp_path, capsys):
+        data = precession_config(lindblads=[{"kind": "sz", "gamma": 150.0}])
+        path = write_yaml(tmp_path / "stiff.yaml", data)
+        assert main(["validate", path]) == 2
+        assert "largest stable base_step" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, qubitdyn.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestRun:

@@ -13,13 +13,30 @@ from qubitdyn.pulses import (
     SmoothStep,
     SoftSquarePulse,
     build_schedule,
-    check_normalization,
     make_gate,
 )
 
 OMEGA_L = 0.2675
 T_LARMOR = 2.0 * math.pi / OMEGA_L
 WINDOW = 0.1 * T_LARMOR
+
+
+def check_normalization(pulse) -> float:
+    """Quadrature audit of a pulse's area against its nominal value.
+
+    Integrates the envelope over its own support and, when the pulse
+    declares a nominal area, raises if the two differ by more than 1e-6.
+    Gate pulses come back as pi/2.
+    """
+    lo, hi = pulse.support()
+    total = float(quad(pulse.value, lo, hi, limit=200)[0])
+    if hasattr(pulse, "area"):
+        nominal = pulse.area()
+        if abs(total - nominal) > 1e-6:
+            raise ValueError(
+                f"pulse area {total!r} deviates from nominal {nominal!r} beyond 1e-6"
+            )
+    return total
 
 
 class TestGaussianPulse:

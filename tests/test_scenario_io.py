@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import yaml
 
+from qubitdyn.engine import measure
+from qubitdyn.generators import hamiltonian_dot
 from qubitdyn.scenario import (
     CSV_HEADER,
     EVENTS_NAME,
@@ -17,6 +19,7 @@ from qubitdyn.scenario import (
     TIMESERIES_NAME,
     Scenario,
     ScenarioError,
+    build_generators,
     draw_noise_pulses,
     load_scenario,
     noise_pulse_starts,
@@ -25,6 +28,7 @@ from qubitdyn.scenario import (
     scenario_from_dict,
     write_timeseries,
 )
+from qubitdyn.spincore import density_to_bloch
 
 OMEGA_L = 0.2675
 T_LARMOR = 2.0 * math.pi / OMEGA_L
@@ -141,6 +145,83 @@ class TestValidation:
         data = base_config(integrator={"base_step": 0.0})
         with pytest.raises(ScenarioError, match="base_step"):
             scenario_from_dict(data)
+
+
+def stiff_config(lindblads):
+    return base_config(
+        time={"t_final": 2.0},
+        lindblads=lindblads,
+        outputs={"samples": 50, "grid_report": False},
+    )
+
+
+class TestStepStability:
+    """RK4 at the resolved base step must not amplify a decaying mode of
+    the constant Lindblad drift; sz at gamma decays transverse P at 2 gamma,
+    so the default step T_L/2000 allows gamma up to about 118.6."""
+
+    def test_stiff_dephasing_rejected_with_stable_step(self):
+        with pytest.raises(ScenarioError, match="largest stable base_step") as info:
+            scenario_from_dict(stiff_config([{"kind": "sz", "gamma": 150.0}]))
+        suggested = float(str(info.value).rsplit(" ", 1)[1])
+        assert suggested < T_LARMOR / 2000.0
+        data = stiff_config([{"kind": "sz", "gamma": 150.0}])
+        data["integrator"] = {"base_step": suggested}
+        scenario_from_dict(data)
+
+    def test_stable_dephasing_runs(self, tmp_path):
+        sc = scenario_from_dict(stiff_config([{"kind": "sz", "gamma": 100.0}]))
+        traj = run_scenario(sc, tmp_path / "run").trajectory
+        px, py, pz = traj.final_bloch
+        assert math.hypot(px, py) < 1e-12
+        assert pz == pytest.approx(0.8, abs=1e-12)
+
+    def test_feedback_growth_not_rejected(self, tmp_path):
+        op = {"alpha0": [0.0, 0.0], "alpha": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+              "gamma": -0.01, "feedback": True}
+        sc = scenario_from_dict(stiff_config([op]))
+        traj = run_scenario(sc, tmp_path / "run").trajectory
+        assert np.linalg.norm(traj.final_bloch) > np.linalg.norm(sc.initial_bloch)
+
+
+def measured_scenario():
+    """x-measurement at gamma 26.752 on P0 = (0.5, 0, 0.8); the window
+    opens at t1 = 0.2 and closes at about 0.317."""
+    data = base_config(
+        time={"t_final": 1.0},
+        measurements=[{"t1": 0.2, "direction": [1.0, 0.0, 0.0], "gamma": 26.752}],
+        outputs={"samples": 50, "grid_report": False},
+    )
+    return scenario_from_dict(data)
+
+
+class TestScenarioMeasurement:
+    def test_matches_measure(self, tmp_path):
+        sc = measured_scenario()
+        traj = run_scenario(sc, tmp_path / "run").trajectory
+        window = sc.measurements[0]
+        lo, hi = window.support()
+        _, rho_out = measure(
+            traj.states[traj.row_index(lo)],
+            window.direction,
+            sc.measurement_gammas[0],
+            sc.omega_l,
+            t1=window.t1,
+        )
+        p_scenario = np.asarray(traj.rows[traj.row_index(hi)].bloch)
+        assert np.max(np.abs(density_to_bloch(rho_out) - p_scenario)) <= 1e-9
+
+    def test_power_is_work_rate(self, tmp_path):
+        sc = measured_scenario()
+        traj = run_scenario(sc, tmp_path / "run").trajectory
+        gens = build_generators(sc)
+        for row, rho in zip(traj.rows, traj.states):
+            expected = np.trace(rho @ hamiltonian_dot(gens.hamiltonian, row.t)).real
+            assert row.power == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        lo, hi = sc.measurements[0].support()
+        # the support edges sit on the hold's rise and fall edges
+        assert traj.rows[traj.row_index(lo)].power != 0.0
+        assert traj.rows[traj.row_index(hi)].power != 0.0
 
 
 class TestNoiseDraw:
