@@ -65,18 +65,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _final_fidelity(scenario, traj) -> float:
+    """Fidelity of the final state against the ideal gate sequence at its time."""
+    rho0 = bloch_to_density(scenario.initial_bloch)
+    rho_ref = ideal_reference(rho0, scenario.schedule.gates, traj.rows[-1].t)
+    return fidelity(traj.final_state, rho_ref)
+
+
 def _print_run_summary(scenario, result: RunResult) -> None:
     traj = result.trajectory
     last = traj.rows[-1]
-    rho_ref = ideal_reference(
-        bloch_to_density(scenario.initial_bloch), scenario.schedule.gates, last.t
-    )
-    f_final = fidelity(traj.final_state, rho_ref)
     px, py, pz = last.bloch
     print(f"scenario {scenario.name}: seed {result.manifest['seed']}, "
           f"{len(traj.rows)} rows to t = {_g(last.t)} nsec")
     print(f"final P = ({_g(px)}, {_g(py)}, {_g(pz)})  S = {_g(last.entropy)} bits  "
-          f"F vs reference = {_g(f_final)}")
+          f"F vs reference = {_g(_final_fidelity(scenario, traj))}")
     print(f"artifacts in {result.out_dir}")
 
 
@@ -100,14 +103,10 @@ def _sweep_one(packed):
     scenario = scenario_from_dict(data, default_name=Path(scenario_path).stem)
     result = run_scenario(scenario, out_dir, seed=seed)
     traj = result.trajectory
-    last = traj.rows[-1]
-    rho_ref = ideal_reference(
-        bloch_to_density(scenario.initial_bloch), scenario.schedule.gates, last.t
-    )
     return {
         "value": value,
-        "fidelity": fidelity(traj.final_state, rho_ref),
-        "bloch": last.bloch,
+        "fidelity": _final_fidelity(scenario, traj),
+        "bloch": traj.rows[-1].bloch,
         "out_dir": str(out_dir),
     }
 

@@ -19,9 +19,10 @@ the positivity floor aborts with PositivityError.
 The module also carries the independent oracle routes used to pin the
 integrator down in tests: closed-form polarization solutions for the
 five constant-Lindblad cases, and a polarization-space integrator that
-evolves the three Bloch components directly through the drift form of
-the dissipator.  The two routes share no code with the density-matrix
-path.
+steps the affine drift dP/dt = M P + v of precession plus constant
+Lindblad operators, built once per call by linear_bloch_drift from the
+drift form of the dissipator.  The two routes share no code with the
+density-matrix path.
 
 Measurement runs wrap integrate() with a pulsed
 measurement operator, watching the conserved component along the
@@ -212,18 +213,17 @@ def integrate(
         return h_always or any(lo <= t <= hi for lo, hi in h_spans)
 
     def stage(t: float, rho: np.ndarray):
+        """(drho/dt, power, heat rate, H, dH/dt) at (t, rho)."""
         if h_varies(t):
             h = hamiltonian(hspec, t)
-            k = rhs_given_h(t, rho, gens, h, eps)
-            w = trace_product(rho, hamiltonian_dot(hspec, t)).real
+            hd = hamiltonian_dot(hspec, t)
+            w = trace_product(rho, hd).real
         else:
-            h = h_static
-            k = rhs_given_h(t, rho, gens, h, eps)
-            w = 0.0
-        q = trace_product(h, k).real
-        return k, w, q
+            h, hd, w = h_static, zero_h, 0.0
+        k = rhs_given_h(t, rho, gens, h, eps)
+        return k, w, trace_product(h, k).real, h, hd
 
-    rho = np.asarray(rho0, dtype=complex).copy()
+    rho = np.asarray(rho0, dtype=complex)
     rho = 0.5 * (rho + adjoint(rho))
     work = 0.0
     heat = 0.0
@@ -238,16 +238,16 @@ def integrate(
     work_samples: list[float] = []
     heat_samples: list[float] = []
 
-    def record(t: float):
-        h = hamiltonian(hspec, t)
-        hd = hamiltonian_dot(hspec, t) if h_varies(t) else zero_h
-        rho_dot = rhs_given_h(t, rho, gens, h, eps)
+    def record(t: float, knot_stage):
+        # the stage at the knot is also the next step's first stage
+        rho_dot, _, _, h, hd = knot_stage
         rows.append(observable_row(t, rho, h, hd, rho_dot, omega_l))
-        states.append(rho.copy())
+        states.append(rho)
         work_samples.append(work)
         heat_samples.append(heat)
 
-    record(t0)
+    cur = stage(t0, rho)
+    record(t0, cur)
     for a, b in zip(knots[:-1], knots[1:]):
         mid = 0.5 * (a + b)
         target = fine if any(lo <= mid <= hi for lo, hi, _ in spans) else base
@@ -255,14 +255,14 @@ def integrate(
         h_step = (b - a) / n
         t = a
         for i in range(n):
-            k1, w1, q1 = stage(t, rho)
+            k1, w1, q1, _, _ = cur
             half = 0.5 * h_step
             r2 = rho + half * k1
-            k2, w2, q2 = stage(t + half, r2)
+            k2, w2, q2, _, _ = stage(t + half, r2)
             r3 = rho + half * k2
-            k3, w3, q3 = stage(t + half, r3)
+            k3, w3, q3, _, _ = stage(t + half, r3)
             r4 = rho + h_step * k3
-            k4, w4, q4 = stage(t + h_step, r4)
+            k4, w4, q4, _, _ = stage(t + h_step, r4)
             rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             work += (h_step / 6.0) * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
             heat += (h_step / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
@@ -279,12 +279,11 @@ def integrate(
                 if watch_beta:
                     sup = beta_suppressed(t, rho, gens, eps)
                     if sup and not suppressed_prev:
-                        events.append(
-                            {"kind": "beta_suppressed", "t": float(t)}
-                        )
+                        events.append({"kind": "beta_suppressed", "t": float(t)})
                     suppressed_prev = sup
-        rho = rho.copy()
-        record(b)
+            # the knot itself, not a + n h_step, which can miss b in the last bit
+            cur = stage(b if i == n - 1 else t, rho)
+        record(b, cur)
 
     lam = eigenvalues(rho)
     if lam[1] < min_eig_seen:
@@ -357,6 +356,20 @@ def steady_analytic(kind: str, p0, gamma: float, omega_l: float, t: float) -> np
     return np.array([px, py, pz])
 
 
+def linear_bloch_drift(omega_l: float, ops) -> tuple[np.ndarray, np.ndarray]:
+    """(M, v) of dP/dt = M P + v for precession plus constant Lindblad
+    operators, given as (alpha0, alpha, gamma) triples; each adds
+    2 Gamma delta_p(P), split into its linear part and delta_p(0)."""
+    m = np.array([[0.0, omega_l, 0.0], [-omega_l, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    v = np.zeros(3)
+    for alpha0, alpha, gamma in ops:
+        d0 = delta_p(alpha0, alpha, np.zeros(3))
+        cols = [delta_p(alpha0, alpha, e) - d0 for e in np.eye(3)]
+        m += 2.0 * gamma * np.column_stack(cols)
+        v += 2.0 * gamma * d0
+    return m, v
+
+
 def integrate_bloch_oracle(
     p0, omega_l: float, ops, t_span: tuple[float, float], n_steps: int = 20000
 ) -> np.ndarray:
@@ -364,26 +377,21 @@ def integrate_bloch_oracle(
     components directly.
 
     ops is a sequence of (alpha0, alpha, gamma) triples for constant
-    Lindblad operators; their effect enters through the polarization
-    drift delta_p, scaled by 2 Gamma.  Gates, entropy-ascent, and bath
-    terms are outside this route on purpose: it exists to cross-check
-    the density-matrix path where both apply.
+    Lindblad operators.  Precession plus these operators is the affine
+    drift (M, v) of linear_bloch_drift, built once per call; RK4 then
+    steps dP/dt = M P + v.  Gates, entropy-ascent, and bath terms are
+    outside this route on purpose: it exists to cross-check the
+    density-matrix path where both apply.
     """
-    p = np.asarray(p0, dtype=float).copy()
+    m, v = linear_bloch_drift(omega_l, ops)
+    p = np.asarray(p0, dtype=float)
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / n_steps
-
-    def f(pv: np.ndarray) -> np.ndarray:
-        out = np.array([omega_l * pv[1], -omega_l * pv[0], 0.0])
-        for alpha0, alpha, gamma in ops:
-            out = out + 2.0 * gamma * delta_p(alpha0, alpha, pv)
-        return out
-
     for _ in range(n_steps):
-        k1 = f(p)
-        k2 = f(p + 0.5 * h * k1)
-        k3 = f(p + 0.5 * h * k2)
-        k4 = f(p + h * k3)
+        k1 = m @ p + v
+        k2 = m @ (p + 0.5 * h * k1) + v
+        k3 = m @ (p + 0.5 * h * k2) + v
+        k4 = m @ (p + h * k3) + v
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return p
 

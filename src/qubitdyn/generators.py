@@ -245,10 +245,7 @@ def beta2(rho: np.ndarray, h: np.ndarray, eps: float = CLAMP_EPS) -> float:
 
     nan sentinel when the energy variance is degenerate (below VAR_FLOOR).
     """
-    var_e, cov_es, _ = state_covariances(rho, h, eps)
-    if var_e <= VAR_FLOOR:
-        return math.nan
-    return cov_es / var_e
+    return ascent_betas(rho, h, BerettaSpec(0.0), None, eps)[0]
 
 
 def beta2_closed_form(bloch, omega_l: float) -> float:
@@ -293,9 +290,8 @@ def beretta_term(
     the entropy-raising part acts.
     """
     s = -matrix_log_clamped(rho, eps)
-    var_e, cov_es, _ = state_covariances(rho, h, eps, s=s)
-    beta = cov_es / var_e if var_e > VAR_FLOOR else 0.0
-    return gamma2 * _ascent_shape(rho, h, s, beta)
+    beta, _ = ascent_betas(rho, h, BerettaSpec(gamma2), None, eps, s)
+    return gamma2 * _ascent_shape(rho, h, s, 0.0 if math.isnan(beta) else beta)
 
 
 @dataclass(frozen=True)
@@ -335,14 +331,29 @@ def bath_beta(
     s: np.ndarray | None = None,
 ) -> float:
     """Inverse-temperature coefficient of the bath term for the current state."""
-    if bath.variant == "korsch":
-        return 1.0 / (KBOLTZ * bath.temperature)
-    var_e, cov_es, var_s = state_covariances(rho, h, eps, s=s)
-    kt = KBOLTZ * bath.temperature
-    denom = var_e - kt * cov_es
-    if abs(denom) <= VAR_FLOOR:
-        return math.nan
-    return (cov_es - kt * var_s) / denom
+    return ascent_betas(rho, h, None, bath, eps, s)[1]
+
+
+def ascent_betas(
+    rho: np.ndarray, h: np.ndarray, beretta, bath, eps: float = CLAMP_EPS, s=None
+) -> tuple[float, float]:
+    """(beta_2, beta_3) of the ascent and bath terms, from one surprisal s
+    (computed when None) and one covariance evaluation, made only when a
+    state-dependent beta needs it.  nan marks an absent term, a degenerate
+    energy variance (beta_2) and a degenerate Beretta-variant denominator.
+    """
+    b2 = b3 = math.nan
+    if beretta is not None or (bath is not None and bath.variant == "beretta"):
+        var_e, cov_es, var_s = state_covariances(rho, h, eps, s=s)
+        if beretta is not None and var_e > VAR_FLOOR:
+            b2 = cov_es / var_e
+    if bath is not None:
+        kt = KBOLTZ * bath.temperature
+        if bath.variant == "korsch":
+            b3 = 1.0 / kt
+        elif abs(denom := var_e - kt * cov_es) > VAR_FLOOR:
+            b3 = (cov_es - kt * var_s) / denom
+    return b2, b3
 
 
 def bath_term(
@@ -350,10 +361,8 @@ def bath_term(
 ) -> np.ndarray:
     """Thermal-bath contribution with the variant's beta_3."""
     s = -matrix_log_clamped(rho, eps)
-    beta = bath_beta(rho, h, bath, eps)
-    if math.isnan(beta):
-        beta = 0.0
-    return bath.gamma3 * _ascent_shape(rho, h, s, beta)
+    beta = bath_beta(rho, h, bath, eps, s)
+    return bath.gamma3 * _ascent_shape(rho, h, s, 0.0 if math.isnan(beta) else beta)
 
 
 def combined_23_term(
@@ -369,12 +378,7 @@ def combined_23_term(
     Algebraically equal to the sum of the separate terms.
     """
     s = -matrix_log_clamped(rho, eps)
-    b2 = beta2(rho, h, eps)
-    if math.isnan(b2):
-        b2 = 0.0
-    b3 = bath_beta(rho, h, bath, eps, s=s)
-    if math.isnan(b3):
-        b3 = 0.0
+    b2, b3 = (0.0 if math.isnan(b) else b for b in ascent_betas(rho, h, beretta, bath, eps, s))
     gamma_23 = beretta.gamma2 + bath.gamma3
     if gamma_23 == 0.0:
         return np.zeros((2, 2), dtype=complex)
@@ -410,14 +414,13 @@ def rhs_given_h(
         # both terms share the ascent shape, which is affine in beta, so
         # one evaluation at the rate-weighted beta equals the sum
         s = -matrix_log_clamped(rho, eps)
+        b2, b3 = ascent_betas(rho, h, gens.beretta, gens.bath, eps, s)
         g2 = gens.beretta.gamma2 if gens.beretta is not None else 0.0
         g3 = gens.bath.gamma3 if gens.bath is not None else 0.0
         weighted = 0.0
         if g2 != 0.0:
-            var_e, cov_es, _ = state_covariances(rho, h, eps, s=s)
-            weighted += g2 * (cov_es / var_e if var_e > VAR_FLOOR else 0.0)
+            weighted += g2 * (0.0 if math.isnan(b2) else b2)
         if g3 != 0.0:
-            b3 = bath_beta(rho, h, gens.bath, eps, s=s)
             weighted += 0.0 if math.isnan(b3) else g3 * b3
         g23 = g2 + g3
         if g23 != 0.0:
@@ -427,14 +430,8 @@ def rhs_given_h(
 
 def beta_suppressed(t: float, rho: np.ndarray, gens: GeneratorSet, eps: float = CLAMP_EPS) -> bool:
     """True when the ascent/bath beta coefficient is degenerate at this state."""
-    h = hamiltonian(gens.hamiltonian, t)
-    if gens.beretta is not None:
-        var_e, _, _ = state_covariances(rho, h, eps)
-        if var_e <= VAR_FLOOR:
-            return True
-    if gens.bath is not None and math.isnan(bath_beta(rho, h, gens.bath, eps)):
-        return True
-    return False
+    b2, b3 = ascent_betas(rho, hamiltonian(gens.hamiltonian, t), gens.beretta, gens.bath, eps)
+    return gens.beretta is not None and math.isnan(b2) or gens.bath is not None and math.isnan(b3)
 
 
 def delta_p(alpha0: complex, alpha, bloch) -> np.ndarray:

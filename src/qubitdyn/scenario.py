@@ -95,6 +95,7 @@ from .engine import (
     Trajectory,
     fidelity_on_larmor_grid,
     integrate,
+    linear_bloch_drift,
 )
 from .generators import (
     STEADY_KINDS,
@@ -104,7 +105,6 @@ from .generators import (
     GeneratorSet,
     HamiltonianSpec,
     LindbladOp,
-    delta_p,
     measurement_op,
     steady_op,
 )
@@ -550,11 +550,7 @@ def _check_step_stability(omega_l: float, ops, base_step: float) -> None:
     Growing modes (feedback rates), pulsed operators and the nonlinear
     terms are not checked.
     """
-    drift = np.array([[0.0, omega_l, 0.0], [-omega_l, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    for op in ops:
-        v = delta_p(op.alpha0, op.alpha, np.zeros(3))
-        cols = [delta_p(op.alpha0, op.alpha, e) - v for e in np.eye(3)]
-        drift += 2.0 * op.gamma * np.column_stack(cols)
+    drift, _ = linear_bloch_drift(omega_l, [(op.alpha0, op.alpha, op.gamma) for op in ops])
     decaying = [lam for lam in np.linalg.eigvals(drift) if lam.real < 0.0]
 
     def stable(h: float) -> bool:

@@ -1,10 +1,12 @@
 """Integration engine: accuracy, gates, analytic oracles, measurement."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from qubitdyn import engine
 from qubitdyn.engine import (
     IntegratorConfig,
     PositivityError,
@@ -14,6 +16,7 @@ from qubitdyn.engine import (
     integrate,
     integrate_bloch_oracle,
     larmor_grid_times,
+    linear_bloch_drift,
     measure,
     projective_collapse,
     steady_analytic,
@@ -24,10 +27,15 @@ from qubitdyn.generators import (
     GeneratorSet,
     HamiltonianSpec,
     LindbladOp,
+    delta_p,
+    hamiltonian,
+    hamiltonian_dot,
+    measurement_op,
+    rhs,
     steady_op,
 )
-from qubitdyn.observables import HBAR, fidelity
-from qubitdyn.pulses import build_schedule
+from qubitdyn.observables import HBAR, fidelity, observable_row
+from qubitdyn.pulses import MeasurementWindow, SoftSquarePulse, build_schedule
 from qubitdyn.spincore import SIGMA0, adjoint, bloch_to_density, density_to_bloch
 
 OMEGA_L = 0.2675
@@ -216,6 +224,83 @@ class TestBlochOracle:
                 p0, OMEGA_L, ((op.alpha0, op.alpha, op.gamma),), (0.0, 30.0)
             )
             assert np.max(np.abs(traj.final_bloch - oracle)) < 1e-8
+
+
+def random_op(rng, gamma):
+    c = rng.normal(size=8) * 0.3
+    return LindbladOp(
+        alpha0=complex(c[0], c[1]),
+        alpha=(complex(c[2], c[3]), complex(c[4], c[5]), complex(c[6], c[7])),
+        gamma=gamma,
+    )
+
+
+class TestLinearBlochDrift:
+    def test_matches_precession_plus_drifts(self):
+        rng = np.random.default_rng(131)
+        for n_ops in range(4):
+            ops = [random_op(rng, float(rng.uniform(0.005, 0.08))) for _ in range(n_ops)]
+            triples = [(op.alpha0, op.alpha, op.gamma) for op in ops]
+            m, v = linear_bloch_drift(OMEGA_L, triples)
+            for _ in range(20):
+                p = rng.uniform(-0.6, 0.6, size=3)
+                expected = np.array([OMEGA_L * p[1], -OMEGA_L * p[0], 0.0])
+                for alpha0, alpha, gamma in triples:
+                    expected = expected + 2.0 * gamma * delta_p(alpha0, alpha, p)
+                assert np.max(np.abs(m @ p + v - expected)) <= 1e-15
+
+    def test_steady_sz_spectrum(self):
+        gamma = 0.03
+        op = steady_op("sz", gamma)
+        m, v = linear_bloch_drift(OMEGA_L, [(op.alpha0, op.alpha, op.gamma)])
+        lam = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))
+        expected = [complex(-2.0 * gamma, -OMEGA_L), complex(-2.0 * gamma, OMEGA_L), 0j]
+        assert np.max(np.abs(np.array(lam) - expected)) < 1e-12
+        assert np.all(v == 0.0)
+
+
+class TestKnotStageReuse:
+    """The stage evaluated at a sample knot gives the row and is the next
+    step's first stage, so integrate evaluates the right-hand side
+    4 steps + 1 times."""
+
+    def test_one_rhs_per_knot_and_rows_exact(self, monkeypatch):
+        schedule = build_schedule(["not"], n_delay=1, omega_l=OMEGA_L, window=WINDOW)
+        window = MeasurementWindow.for_rate(0.4 * T_LARMOR, 1.0, (1.0, 0.0, 0.0))
+        noise = LindbladOp(
+            alpha0=0.1 + 0.2j,
+            alpha=(0.3 - 0.1j, -0.2 + 0.4j, 0.1 + 0.1j),
+            gamma=0.107,
+            envelope=SoftSquarePulse(0.7 * T_LARMOR, 0.9 * T_LARMOR, 0.5, "unit-peak"),
+        )
+        gens = GeneratorSet(
+            hamiltonian=HamiltonianSpec(
+                omega_l=OMEGA_L, gates=schedule.gates, bias_holds=(window.hold(),)
+            ),
+            lindblads=(steady_op("sz", 0.00213), measurement_op(window, 1.0), noise),
+            bath=BathSpec(gamma3=0.0013375, temperature=27.3, variant="korsch"),
+        )
+        calls = [0]
+        original = engine.rhs_given_h
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "rhs_given_h", counting)
+        cfg = IntegratorConfig(base_step=T_LARMOR / 200.0, pulse_refinement=10, samples=40)
+        traj = integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, schedule.t_final), cfg)
+        assert calls[0] == 4 * traj.meta["steps"] + 1
+        assert len(traj.rows) == traj.meta["knots"]
+
+        hspec = gens.hamiltonian
+        for row, rho in zip(traj.rows, traj.states):
+            t = row.t
+            again = observable_row(
+                t, rho, hamiltonian(hspec, t), hamiltonian_dot(hspec, t), rhs(t, rho, gens), OMEGA_L
+            )
+            # equal to the last bit; nan sentinels match nan
+            np.testing.assert_array_equal(np.hstack(astuple(row)), np.hstack(astuple(again)))
 
 
 class TestMeasurement:

@@ -449,6 +449,24 @@ class TestAssembledRhs:
         )
         assert np.max(np.abs(out2 - expected2)) < 1e-12
 
+    def test_ascent_plus_beretta_bath_is_sum_of_terms(self):
+        # one covariance evaluation feeds both betas; the assembled rhs
+        # must still equal the separately built terms
+        beretta = BerettaSpec(gamma2=0.0426)
+        bath = BathSpec(gamma3=0.0852, temperature=27.3, variant="beretta")
+        gens = GeneratorSet(
+            hamiltonian=HamiltonianSpec(omega_l=OMEGA_L), beretta=beretta, bath=bath
+        )
+        rng = np.random.default_rng(137)
+        for p in random_bloch(rng, 300, r_max=0.99):
+            rho = bloch_to_density(p)
+            expected = (
+                (-1.0j / HBAR) * (H_STATIC @ rho - rho @ H_STATIC)
+                + beretta_term(rho, H_STATIC, beretta.gamma2)
+                + bath_term(rho, H_STATIC, bath)
+            )
+            assert np.max(np.abs(rhs(0.0, rho, gens) - expected)) < 1e-12
+
     def test_suppression_flag(self):
         gens = GeneratorSet(
             hamiltonian=HamiltonianSpec(omega_l=OMEGA_L),
