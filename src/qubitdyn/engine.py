@@ -1,28 +1,37 @@
-"""Fixed-step density-matrix integrator and its analytic cross-checks.
+"""Fixed-step Bloch-form integrator and its analytic cross-checks.
 
-Integration uses the classic fourth-order Runge-Kutta rule on a segment
-grid.  Segment boundaries are the union of the run endpoints, every
-pulse support edge, and every requested sample time, so pulses are never
-straddled and samples land exactly on grid points.  Segments that fall
-inside a pulse support march at base_step/pulse_refinement; everything
-else marches at base_step (default: one two-thousandth of the Larmor
-period).
+The state is stepped as its polarization P, three reals, with
+rho = (sigma_0 + P . sigma_vec)/2: generators.bloch_rhs gives every term
+of the master equation as a closed-form drift of P, and the classic
+fourth-order Runge-Kutta rule advances (Px, Py, Pz) as Python floats.
+Trace and Hermiticity hold by construction, so there is no re-symmetrise
+or renormalise step; the density matrices in Trajectory.states are built
+from P at each sample knot.
+
+Integration runs on a segment grid.  Segment boundaries are the union of
+the run endpoints, every pulse support edge, and every requested sample
+time, so pulses are never straddled and samples land exactly on grid
+points.  Segments that fall inside a pulse support march at
+base_step/pulse_refinement; everything else marches at base_step
+(default: one two-thousandth of the Larmor period).
 
 Work and heat are accumulated through the same Runge-Kutta stages as
 the state, using the stage rates Tr[rho dH/dt] (power) and Tr[H drho/dt]
 (heat flow), so the thermodynamic tallies carry the integrator's order.
 
-After every step the state is re-symmetrized and trace-renormalized.
-At a configurable cadence the state is validated; an eigenvalue below
-the positivity floor aborts with PositivityError.
+Health is checked on every step: a non-finite P, or a smallest
+eigenvalue (1 - |P|)/2 below the positivity floor, aborts with
+PositivityError.  Every validate_every steps the state is also watched
+for a degenerate ascent/bath beta, which is logged as an event.
 
 The module also carries the independent oracle routes used to pin the
 integrator down in tests: closed-form polarization solutions for the
 five constant-Lindblad cases, and a polarization-space integrator that
 steps the affine drift dP/dt = M P + v of precession plus constant
 Lindblad operators, built once per call by linear_bloch_drift from the
-drift form of the dissipator.  The two routes share no code with the
-density-matrix path.
+drift form of the dissipator.  The density-matrix form of the right-hand
+side (generators.rhs) is the other reference; tests step it with the
+same segment plan.
 
 Measurement runs wrap integrate() with a pulsed
 measurement operator, watching the conserved component along the
@@ -40,26 +49,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import (
+# rhs_given_h, hamiltonian, hamiltonian_dot, delta_p and observable_row are not
+# called here; they stay importable from this module because
+# benchmarks/tracing.py looks each of them up by name in this namespace.
+from .generators import (  # noqa: F401
     STEADY_KINDS,
     GeneratorSet,
     HamiltonianSpec,
-    beta_suppressed,
+    bloch_beta_suppressed,
+    bloch_rhs,
     delta_p,
     hamiltonian,
     hamiltonian_dot,
+    linear_bloch_drift,
     measurement_op,
     rhs_given_h,
-    trace_product,
 )
-from .observables import ObservableRow, fidelity, observable_row
+from .observables import ObservableRow, bloch_row, fidelity, observable_row  # noqa: F401
 from .pulses import MeasurementWindow
 from .spincore import (
     CLAMP_EPS,
     adjoint,
     bloch_to_density,
     density_to_bloch,
-    eigenvalues,
     validate,
 )
 
@@ -80,7 +92,11 @@ class PositivityError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step sizes, hygiene cadence, and sampling policy."""
+    """Step sizes, health checks, and sampling policy.
+
+    positivity_floor bounds the smallest eigenvalue on every step;
+    validate_every is the step cadence of the beta-suppression watch.
+    """
 
     base_step: float | None = None
     pulse_refinement: int = 50
@@ -166,6 +182,41 @@ def _build_knots(t0: float, t1: float, spans, sample_times) -> np.ndarray:
     return np.array(merged)
 
 
+def segment_plan(
+    gens: GeneratorSet, t_span: tuple[float, float], cfg: IntegratorConfig, sample_times=None
+) -> list[tuple[float, float, int, bool]]:
+    """(a, b, n, refined) for each segment between consecutive sample knots:
+    n equal RK4 steps from a to b, refined inside a pulse support.
+
+    sample_times adds explicit knots on top of cfg's uniform samples and
+    Larmor grid; pulse support edges are always knots as well.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    omega_l = gens.hamiltonian.omega_l
+    base = cfg.resolved_base_step(omega_l)
+    fine = base / cfg.pulse_refinement
+    extra = [] if sample_times is None else list(np.asarray(sample_times, float))
+    if cfg.samples and cfg.samples > 1:
+        extra.extend(np.linspace(t0, t1, cfg.samples))
+    if cfg.include_larmor_grid:
+        extra.extend(larmor_grid_times(t1, omega_l, gens.hamiltonian.gates, t_start=t0))
+    spans = _spans(gens)
+    knots = _build_knots(t0, t1, spans, extra)
+    plan = []
+    for a, b in zip(knots[:-1].tolist(), knots[1:].tolist()):
+        mid = 0.5 * (a + b)
+        refined = any(lo <= mid <= hi for lo, hi, _ in spans)
+        plan.append((a, b, max(1, math.ceil((b - a) / (fine if refined else base))), refined))
+    return plan
+
+
+def _density(px: float, py: float, pz: float) -> np.ndarray:
+    """(sigma_0 + P . sigma_vec)/2, unchecked."""
+    return np.array(
+        [[0.5 * (1.0 + pz), 0.5 * (px - 1.0j * py)], [0.5 * (px + 1.0j * py), 0.5 * (1.0 - pz)]]
+    )
+
+
 def integrate(
     gens: GeneratorSet,
     rho0: np.ndarray,
@@ -177,7 +228,10 @@ def integrate(
     """Evolve rho0 over t_span and sample every grid knot.
 
     sample_times adds explicit sample points on top of the uniform set;
-    pulse support edges are always sampled as well.
+    pulse support edges are always sampled as well.  meta counts the
+    steps by kind (steps_base, steps_refined) and the right-hand-side
+    evaluations (4 per step plus 1: the stage evaluated at a knot gives
+    its row and is the next step's first stage).
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -187,48 +241,23 @@ def integrate(
     if not report.ok:
         raise ValueError(f"initial state rejected: {report}")
 
-    hspec = gens.hamiltonian
-    omega_l = hspec.omega_l
-    base = cfg.resolved_base_step(omega_l)
-    fine = base / cfg.pulse_refinement
+    omega_l = gens.hamiltonian.omega_l
+    plan = segment_plan(gens, (t0, t1), cfg, sample_times)
+    drift = bloch_rhs(gens, eps)
+    evaluations = 0
 
-    extra = [] if sample_times is None else list(np.asarray(sample_times, float))
-    if cfg.samples and cfg.samples > 1:
-        extra.extend(np.linspace(t0, t1, cfg.samples))
-    if cfg.include_larmor_grid:
-        extra.extend(larmor_grid_times(t1, omega_l, hspec.gates, t_start=t0))
-    spans = _spans(gens)
-    knots = _build_knots(t0, t1, spans, extra)
+    def stage(t, px, py, pz):
+        nonlocal evaluations
+        evaluations += 1
+        return drift(t, px, py, pz)
 
-    # outside the supports of the parts that move H, H is exactly the
-    # static term, so the rebuild (and dH/dt, identically zero there) can
-    # be skipped; with an axis rotation present H is treated as
-    # time-dependent throughout
-    h_always = hspec.axis_rotation is not None
-    h_spans = [(lo, hi) for lo, hi, moves_h in spans if moves_h]
-    h_static = hamiltonian(HamiltonianSpec(omega_l=omega_l), t0) if not h_always else None
-    zero_h = np.zeros((2, 2), dtype=complex)
-
-    def h_varies(t: float) -> bool:
-        return h_always or any(lo <= t <= hi for lo, hi in h_spans)
-
-    def stage(t: float, rho: np.ndarray):
-        """(drho/dt, power, heat rate, H, dH/dt) at (t, rho)."""
-        if h_varies(t):
-            h = hamiltonian(hspec, t)
-            hd = hamiltonian_dot(hspec, t)
-            w = trace_product(rho, hd).real
-        else:
-            h, hd, w = h_static, zero_h, 0.0
-        k = rhs_given_h(t, rho, gens, h, eps)
-        return k, w, trace_product(h, k).real, h, hd
-
-    rho = np.asarray(rho0, dtype=complex)
-    rho = 0.5 * (rho + adjoint(rho))
+    px, py, pz = density_to_bloch(np.asarray(rho0, dtype=complex)).tolist()
     work = 0.0
     heat = 0.0
     steps = 0
-    min_eig_seen = 1.0
+    floor = cfg.positivity_floor
+    every = cfg.validate_every
+    min_eig_seen = 0.5 * (1.0 - math.sqrt(px * px + py * py + pz * pz))
     events: list[dict] = []
     suppressed_prev = False
     watch_beta = gens.beretta is not None or gens.bath is not None
@@ -238,68 +267,68 @@ def integrate(
     work_samples: list[float] = []
     heat_samples: list[float] = []
 
-    def record(t: float, knot_stage):
+    def record(t: float, p, knot_stage):
         # the stage at the knot is also the next step's first stage
-        rho_dot, _, _, h, hd = knot_stage
-        rows.append(observable_row(t, rho, h, hd, rho_dot, omega_l))
-        states.append(rho)
+        dx, dy, dz, _, _, hterms = knot_stage
+        rows.append(bloch_row(t, p, (dx, dy, dz), hterms, omega_l))
+        states.append(_density(*p))
         work_samples.append(work)
         heat_samples.append(heat)
 
-    cur = stage(t0, rho)
-    record(t0, cur)
-    for a, b in zip(knots[:-1], knots[1:]):
-        mid = 0.5 * (a + b)
-        target = fine if any(lo <= mid <= hi for lo, hi, _ in spans) else base
-        n = max(1, math.ceil((b - a) / target))
+    cur = stage(t0, px, py, pz)
+    record(t0, (px, py, pz), cur)
+    for a, b, n, _ in plan:
         h_step = (b - a) / n
+        half = 0.5 * h_step
+        sixth = h_step / 6.0
         t = a
         for i in range(n):
-            k1, w1, q1, _, _ = cur
-            half = 0.5 * h_step
-            r2 = rho + half * k1
-            k2, w2, q2, _, _ = stage(t + half, r2)
-            r3 = rho + half * k2
-            k3, w3, q3, _, _ = stage(t + half, r3)
-            r4 = rho + h_step * k3
-            k4, w4, q4, _, _ = stage(t + h_step, r4)
-            rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            work += (h_step / 6.0) * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
-            heat += (h_step / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            k1x, k1y, k1z, w1, q1, _ = cur
+            k2x, k2y, k2z, w2, q2, _ = stage(
+                t + half, px + half * k1x, py + half * k1y, pz + half * k1z
+            )
+            k3x, k3y, k3z, w3, q3, _ = stage(
+                t + half, px + half * k2x, py + half * k2y, pz + half * k2z
+            )
+            k4x, k4y, k4z, w4, q4, _ = stage(
+                t + h_step, px + h_step * k3x, py + h_step * k3y, pz + h_step * k3z
+            )
+            px += sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            py += sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            pz += sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            work += sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+            heat += sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
             t = a + (i + 1) * h_step
-            rho = 0.5 * (rho + adjoint(rho))
-            rho = rho / (rho[0, 0] + rho[1, 1]).real
             steps += 1
-            if steps % cfg.validate_every == 0:
-                lam = eigenvalues(rho)
-                if lam[1] < min_eig_seen:
-                    min_eig_seen = lam[1]
-                if lam[1] < cfg.positivity_floor:
-                    raise PositivityError(t, lam[1])
-                if watch_beta:
-                    sup = beta_suppressed(t, rho, gens, eps)
-                    if sup and not suppressed_prev:
-                        events.append({"kind": "beta_suppressed", "t": float(t)})
-                    suppressed_prev = sup
+            # smallest eigenvalue (1 - |P|)/2; nan and inf fail the comparison
+            lam = 0.5 * (1.0 - math.sqrt(px * px + py * py + pz * pz))
+            if not lam >= floor:
+                raise PositivityError(t, lam)
+            if lam < min_eig_seen:
+                min_eig_seen = lam
+            if watch_beta and steps % every == 0:
+                sup = bloch_beta_suppressed(t, (px, py, pz), gens, eps)
+                if sup and not suppressed_prev:
+                    events.append({"kind": "beta_suppressed", "t": float(t)})
+                suppressed_prev = sup
             # the knot itself, not a + n h_step, which can miss b in the last bit
-            cur = stage(b if i == n - 1 else t, rho)
-        record(b, cur)
+            cur = stage(b if i == n - 1 else t, px, py, pz)
+        record(b, (px, py, pz), cur)
 
-    lam = eigenvalues(rho)
-    if lam[1] < min_eig_seen:
-        min_eig_seen = lam[1]
-    if lam[1] < cfg.positivity_floor:
-        raise PositivityError(t1, lam[1])
-
+    refined = sum(n for _, _, n, fine in plan if fine)
+    base = cfg.resolved_base_step(omega_l)
     meta = {
         "t_start": t0,
         "t_end": t1,
         "omega_l": omega_l,
         "base_step": base,
-        "refined_step": fine,
+        "refined_step": base / cfg.pulse_refinement,
         "steps": steps,
-        "knots": len(knots),
-        "min_eigenvalue_seen": float(min_eig_seen),
+        "steps_base": steps - refined,
+        "steps_refined": refined,
+        "rhs_evaluations": evaluations,
+        "knots": len(plan) + 1,
+        "min_eigenvalue_seen": min_eig_seen,
     }
     return Trajectory(
         rows=rows,
@@ -354,20 +383,6 @@ def steady_analytic(kind: str, p0, gamma: float, omega_l: float, t: float) -> np
     else:
         raise ValueError(f"unknown steady case {kind!r}; expected one of {STEADY_KINDS}")
     return np.array([px, py, pz])
-
-
-def linear_bloch_drift(omega_l: float, ops) -> tuple[np.ndarray, np.ndarray]:
-    """(M, v) of dP/dt = M P + v for precession plus constant Lindblad
-    operators, given as (alpha0, alpha, gamma) triples; each adds
-    2 Gamma delta_p(P), split into its linear part and delta_p(0)."""
-    m = np.array([[0.0, omega_l, 0.0], [-omega_l, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    v = np.zeros(3)
-    for alpha0, alpha, gamma in ops:
-        d0 = delta_p(alpha0, alpha, np.zeros(3))
-        cols = [delta_p(alpha0, alpha, e) - d0 for e in np.eye(3)]
-        m += 2.0 * gamma * np.column_stack(cols)
-        v += 2.0 * gamma * d0
-    return m, v
 
 
 def integrate_bloch_oracle(

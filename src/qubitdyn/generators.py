@@ -18,7 +18,15 @@ The Hamiltonian combines free precession -(hbar omega_L/2) sigma_3 with
 scheduled gate events: within a gate the bias pulse scales the splitting
 by (1 - theta_B) while the Gaussian drive adds hbar theta_G(t) times the
 gate generator.  An optional axis rotation crossfades the precession
-axis through a smooth step.
+axis through a smooth step.  hamiltonian_terms evaluates H and dH/dt
+once, as Pauli components; hamiltonian and hamiltonian_dot are matrix
+views of it.
+
+Two forms of the right-hand side live here and do not call each other.
+bloch_rhs is the Bloch form the integrator steps: with
+rho = (sigma_0 + P . sigma_vec)/2 and H = h0 sigma_0 + h . sigma_vec every
+term is a closed-form drift of the three reals P.  rhs and rhs_given_h
+are the density-matrix form, kept as the independent reference.
 
 Every function here is pure; the integrator composes them.
 """
@@ -67,22 +75,6 @@ class AxisRotation:
     axis_from: tuple[float, float, float]
     axis_to: tuple[float, float, float]
 
-    def matrix_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            _pauli_combo(0.0, self.axis_from),
-            _pauli_combo(0.0, self.axis_to),
-        )
-
-    def axis_matrix(self, t: float) -> np.ndarray:
-        m_from, m_to = self.matrix_pair()
-        t0 = self.step.t0
-        return self.step.value(t0 - (t - t0)) * m_from + self.step.value(t) * m_to
-
-    def axis_matrix_dot(self, t: float) -> np.ndarray:
-        m_from, m_to = self.matrix_pair()
-        t0 = self.step.t0
-        return -self.step.derivative(t0 - (t - t0)) * m_from + self.step.derivative(t) * m_to
-
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -97,62 +89,91 @@ class HamiltonianSpec:
     gates: tuple[GateEvent, ...] = ()
     axis_rotation: AxisRotation | None = None
     bias_holds: tuple = ()
+    # (pulse, lo, hi, g0, g1, g2, g3) per gate drive, generator as Pauli components
+    _drives: tuple = field(init=False, repr=False, compare=False)
+    # (pulse, lo, hi) per bias pulse: gate biases in gate order, then the holds
+    _biases: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        drives = tuple(
+            (g.pulse, *g.pulse.support(), *pauli_components(g.generator)) for g in self.gates
+        )
+        pulses = [g.bias for g in self.gates] + list(self.bias_holds)
+        object.__setattr__(self, "_drives", drives)
+        object.__setattr__(self, "_biases", tuple((b, *b.support()) for b in pulses))
 
 
-def _axis_matrix(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    if spec.axis_rotation is None:
-        return SIGMA3
-    return spec.axis_rotation.axis_matrix(t)
+def pauli_components(m: np.ndarray) -> tuple[float, float, float, float]:
+    """(m0, m1, m2, m3) of a Hermitian 2x2 matrix m = m0 sigma_0 + m_vec . sigma_vec."""
+    return (
+        float(0.5 * (m[0, 0] + m[1, 1]).real),
+        float(0.5 * (m[0, 1] + m[1, 0]).real),
+        float(0.5 * (m[1, 0] - m[0, 1]).imag),
+        float(0.5 * (m[0, 0] - m[1, 1]).real),
+    )
+
+
+def hamiltonian_terms(spec: HamiltonianSpec, t: float) -> tuple[float, ...]:
+    """H(t) and dH/dt as Pauli components, in one pass over the gates, the
+    bias pulses and the axis rotation.
+
+    H(t) = -(hbar omega_L/2)(1 - theta_B) axis + hbar theta_G Omega per gate.
+    Returns (h0, hx, hy, hz, h0_dot, hx_dot, hy_dot, hz_dot) with
+    H = h0 sigma_0 + h . sigma_vec and dH/dt likewise.
+    """
+    h0 = hx = hy = hz = 0.0
+    d0 = dx = dy = dz = 0.0
+    for pulse, lo, hi, g0, g1, g2, g3 in spec._drives:
+        if lo <= t <= hi:
+            a = HBAR * pulse.value(t)
+            ad = HBAR * pulse.derivative(t)
+            h0 += a * g0
+            hx += a * g1
+            hy += a * g2
+            hz += a * g3
+            d0 += ad * g0
+            dx += ad * g1
+            dy += ad * g2
+            dz += ad * g3
+    bias = bias_dot = 0.0
+    for pulse, lo, hi in spec._biases:
+        if lo <= t <= hi:
+            bias += pulse.value(t)
+            bias_dot += pulse.derivative(t)
+    scale = -0.5 * HBAR * spec.omega_l
+    c = scale * (1.0 - bias)
+    cd = scale * -bias_dot
+    rot = spec.axis_rotation
+    if rot is None:
+        return h0, hx, hy, c + hz, d0, dx, dy, cd + dz
+    step, t0 = rot.step, rot.step.t0
+    s_from, s_to = step.value(t0 - (t - t0)), step.value(t)
+    r_from, r_to = -step.derivative(t0 - (t - t0)), step.derivative(t)
+    (fx, fy, fz), (tx, ty, tz) = rot.axis_from, rot.axis_to
+    ax, ay, az = s_from * fx + s_to * tx, s_from * fy + s_to * ty, s_from * fz + s_to * tz
+    bx, by, bz = r_from * fx + r_to * tx, r_from * fy + r_to * ty, r_from * fz + r_to * tz
+    return (
+        h0,
+        c * ax + hx,
+        c * ay + hy,
+        c * az + hz,
+        d0,
+        cd * ax + c * bx + dx,
+        cd * ay + c * by + dy,
+        cd * az + c * bz + dz,
+    )
 
 
 def hamiltonian(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """H(t) = -(hbar omega_L/2)(1 - theta_B) axis + hbar theta_G Omega per gate."""
-    bias = 0.0
-    drive = None
-    for g in spec.gates:
-        lo, hi = g.bias.support()
-        if lo <= t <= hi:
-            bias += g.bias.value(t)
-        lo, hi = g.pulse.support()
-        if lo <= t <= hi:
-            term = (HBAR * g.pulse.value(t)) * g.generator
-            drive = term if drive is None else drive + term
-    for b in spec.bias_holds:
-        lo, hi = b.support()
-        if lo <= t <= hi:
-            bias += b.value(t)
-    h = (-0.5 * HBAR * spec.omega_l * (1.0 - bias)) * _axis_matrix(spec, t)
-    if drive is not None:
-        h = h + drive
-    return h
+    """H(t) as a matrix: the first half of hamiltonian_terms."""
+    h0, hx, hy, hz = hamiltonian_terms(spec, t)[:4]
+    return _pauli_combo(h0, (hx, hy, hz))
 
 
 def hamiltonian_dot(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """Analytic dH/dt matching hamiltonian()."""
-    bias = 0.0
-    bias_dot = 0.0
-    drive_dot = None
-    for g in spec.gates:
-        lo, hi = g.bias.support()
-        if lo <= t <= hi:
-            bias += g.bias.value(t)
-            bias_dot += g.bias.derivative(t)
-        lo, hi = g.pulse.support()
-        if lo <= t <= hi:
-            term = (HBAR * g.pulse.derivative(t)) * g.generator
-            drive_dot = term if drive_dot is None else drive_dot + term
-    for b in spec.bias_holds:
-        lo, hi = b.support()
-        if lo <= t <= hi:
-            bias += b.value(t)
-            bias_dot += b.derivative(t)
-    scale = -0.5 * HBAR * spec.omega_l
-    out = (scale * -bias_dot) * _axis_matrix(spec, t)
-    if spec.axis_rotation is not None:
-        out = out + (scale * (1.0 - bias)) * spec.axis_rotation.axis_matrix_dot(t)
-    if drive_dot is not None:
-        out = out + drive_dot
-    return out
+    """Analytic dH/dt as a matrix: the second half of hamiltonian_terms."""
+    d0, dx, dy, dz = hamiltonian_terms(spec, t)[4:]
+    return _pauli_combo(d0, (dx, dy, dz))
 
 
 @dataclass(frozen=True)
@@ -432,6 +453,124 @@ def beta_suppressed(t: float, rho: np.ndarray, gens: GeneratorSet, eps: float = 
     """True when the ascent/bath beta coefficient is degenerate at this state."""
     b2, b3 = ascent_betas(rho, hamiltonian(gens.hamiltonian, t), gens.beretta, gens.bath, eps)
     return gens.beretta is not None and math.isnan(b2) or gens.bath is not None and math.isnan(b3)
+
+
+def bloch_betas(px, py, pz, hx, hy, hz, beretta, bath, eps: float = CLAMP_EPS):
+    """(s, beta_2, beta_3) in Bloch form, for the state P and H = h0 + h . sigma.
+
+    rho (S - <S>) has the Bloch vector -s P with s = (1 - p^2) artanh(p)/p,
+    and the covariances are var_E = |h|^2 - (P.h)^2, cov_ES = -s (P.h) and
+    var_S = (1 - p^2) artanh(p)^2.  The betas follow from them as in
+    ascent_betas, nan sentinels included.  artanh sees p clamped to
+    1 - 2 eps, the Bloch form of matrix_log_clamped's eigenvalue floor.
+    """
+    p2 = px * px + py * py + pz * pz
+    p = math.sqrt(p2)
+    if p > 0.0:
+        b = math.atanh(min(p, 1.0 - 2.0 * eps))
+        s = (1.0 - p2) * b / p
+    else:
+        b, s = 0.0, 1.0
+    b2 = b3 = math.nan
+    if beretta is not None or (bath is not None and bath.variant == "beretta"):
+        ph = px * hx + py * hy + pz * hz
+        var_e = hx * hx + hy * hy + hz * hz - ph * ph
+        cov_es = -s * ph
+        var_s = (1.0 - p2) * b * b
+        if beretta is not None and var_e > VAR_FLOOR:
+            b2 = cov_es / var_e
+    if bath is not None:
+        kt = KBOLTZ * bath.temperature
+        if bath.variant == "korsch":
+            b3 = 1.0 / kt
+        elif abs(denom := var_e - kt * cov_es) > VAR_FLOOR:
+            b3 = (cov_es - kt * var_s) / denom
+    return s, b2, b3
+
+
+def bloch_beta_suppressed(t: float, p, gens: GeneratorSet, eps: float = CLAMP_EPS) -> bool:
+    """Bloch form of beta_suppressed, for the polarization p at time t."""
+    _, hx, hy, hz = hamiltonian_terms(gens.hamiltonian, t)[:4]
+    _, b2, b3 = bloch_betas(*p, hx, hy, hz, gens.beretta, gens.bath, eps)
+    return gens.beretta is not None and math.isnan(b2) or gens.bath is not None and math.isnan(b3)
+
+
+def bloch_rhs(gens: GeneratorSet, eps: float = CLAMP_EPS):
+    """The master equation in Bloch form, as a function of (t, Px, Py, Pz).
+
+    With rho = (sigma_0 + P . sigma_vec)/2, H = h0 sigma_0 + h . sigma_vec,
+    p = |P| and n = P/p, the terms of dP/dt are
+
+        commutator        (2/hbar) h x P
+        Lindblad k        Gamma_k theta_k(t)^2 (M_k P + v_k)
+        ascent and bath   gamma [-(1 - p^2) artanh(p) n - beta (h - (P.h) P)]
+
+    where (M_k, v_k) is linear_bloch_drift's split of 2 delta_p; the
+    constant operators are summed into one affine drift here, once.  The
+    returned function gives (dPx, dPy, dPz, power, heat rate, H terms):
+    power Tr[rho dH/dt] = h0_dot + P . h_dot, heat rate Tr[H drho/dt] =
+    h . dP/dt, and the H terms as hamiltonian_terms returns them.
+    """
+    hspec = gens.hamiltonian
+    steady = [(op.alpha0, op.alpha, op.gamma) for op in gens.lindblads if op.envelope is None]
+    m, v = linear_bloch_drift(0.0, steady)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    v0, v1, v2 = v.tolist()
+    pulsed = []
+    for op in gens.lindblads:
+        if op.envelope is not None:
+            mk, vk = linear_bloch_drift(0.0, [(op.alpha0, op.alpha, 1.0)])
+            lo, hi = op.envelope.support()
+            pulsed.append((op.envelope, lo, hi, op.gamma, *mk.ravel().tolist(), *vk.tolist()))
+    beretta, bath = gens.beretta, gens.bath
+    g2 = beretta.gamma2 if beretta is not None else 0.0
+    g3 = bath.gamma3 if bath is not None else 0.0
+    g23 = g2 + g3
+    c = 2.0 / HBAR
+
+    def f(t, px, py, pz):
+        hterms = hamiltonian_terms(hspec, t)
+        _, hx, hy, hz, e0, ex, ey, ez = hterms
+        dx = c * (hy * pz - hz * py) + (m00 * px + m01 * py + m02 * pz + v0)
+        dy = c * (hz * px - hx * pz) + (m10 * px + m11 * py + m12 * pz + v1)
+        dz = c * (hx * py - hy * px) + (m20 * px + m21 * py + m22 * pz + v2)
+        for env, lo, hi, gamma, a00, a01, a02, a10, a11, a12, a20, a21, a22, w0, w1, w2 in pulsed:
+            if lo <= t <= hi:
+                theta = env.value(t)
+                r = gamma * theta * theta
+                dx += r * (a00 * px + a01 * py + a02 * pz + w0)
+                dy += r * (a10 * px + a11 * py + a12 * pz + w1)
+                dz += r * (a20 * px + a21 * py + a22 * pz + w2)
+        if g23 != 0.0:
+            # one shape at the rate-weighted beta equals the sum of both terms
+            s, b2, b3 = bloch_betas(px, py, pz, hx, hy, hz, beretta, bath, eps)
+            weighted = 0.0
+            if g2 != 0.0:
+                weighted += g2 * (0.0 if math.isnan(b2) else b2)
+            if g3 != 0.0:
+                weighted += 0.0 if math.isnan(b3) else g3 * b3
+            beta = weighted / g23
+            ph = px * hx + py * hy + pz * hz
+            dx += g23 * (-s * px - beta * (hx - ph * px))
+            dy += g23 * (-s * py - beta * (hy - ph * py))
+            dz += g23 * (-s * pz - beta * (hz - ph * pz))
+        return dx, dy, dz, e0 + px * ex + py * ey + pz * ez, hx * dx + hy * dy + hz * dz, hterms
+
+    return f
+
+
+def linear_bloch_drift(omega_l: float, ops) -> tuple[np.ndarray, np.ndarray]:
+    """(M, v) of dP/dt = M P + v for precession plus constant Lindblad
+    operators, given as (alpha0, alpha, gamma) triples; each adds
+    2 Gamma delta_p(P), split into its linear part and delta_p(0)."""
+    m = np.array([[0.0, omega_l, 0.0], [-omega_l, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    v = np.zeros(3)
+    for alpha0, alpha, gamma in ops:
+        d0 = delta_p(alpha0, alpha, np.zeros(3))
+        cols = [delta_p(alpha0, alpha, e) - d0 for e in np.eye(3)]
+        m += 2.0 * gamma * np.column_stack(cols)
+        v += 2.0 * gamma * d0
+    return m, v
 
 
 def delta_p(alpha0: complex, alpha, bloch) -> np.ndarray:

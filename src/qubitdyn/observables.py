@@ -86,12 +86,15 @@ def temperature_occupation(rho: np.ndarray, h: np.ndarray) -> float:
     splitting, +inf for equal occupations.
     """
     w, u = eigh2(h)
-    gap = float(w[1] - w[0])
+    occ = adjoint(u) @ rho @ u
+    return _level_temperature(float(w[1] - w[0]), occ[0, 0].real, occ[1, 1].real)
+
+
+def _level_temperature(gap: float, n1: float, n2: float) -> float:
+    """gap / (kB ln(n1/n2)) for lower and upper occupations n1 and n2, with
+    the sentinels of temperature_occupation."""
     if gap <= DEGENERACY_EPS:
         return math.nan
-    occ = adjoint(u) @ rho @ u
-    n1 = occ[0, 0].real
-    n2 = occ[1, 1].real
     if n2 <= 0.0:
         return 0.0
     if n1 <= 0.0:
@@ -107,15 +110,16 @@ def temperature_rate_ratio(bloch, bloch_dot, omega_l: float) -> float:
     T = (hbar omega_L / kB) (dP_z/dt) / (d|P|/dt) / ln((1+P)/(1-P)).
     Returns nan when |P| is 0 or 1 or when |P| is momentarily stationary.
     """
-    p_vec = np.asarray(bloch, dtype=float)
-    pd_vec = np.asarray(bloch_dot, dtype=float)
-    p = float(np.linalg.norm(p_vec))
+    px, py, pz = (float(v) for v in bloch)
+    dx, dy, dz = (float(v) for v in bloch_dot)
+    p = math.sqrt(px * px + py * py + pz * pz)
     if p <= 0.0 or p >= 1.0:
         return math.nan
-    p_rate = float(np.dot(p_vec, pd_vec)) / p
+    p_rate = (px * dx + py * dy + pz * dz) / p
     if p_rate == 0.0:
         return math.nan
-    return (HBAR * omega_l / KBOLTZ) * (pd_vec[2] / p_rate) / math.log((1.0 + p) / (1.0 - p))
+    # ln((1+P)/(1-P)) as 2 artanh(P), which stays nonzero for P down to the smallest float
+    return (HBAR * omega_l / KBOLTZ) * (dz / p_rate) / (2.0 * math.atanh(p))
 
 
 @dataclass(frozen=True)
@@ -159,4 +163,42 @@ def observable_row(
         heat_rate=heat_rate(h, rho_dot),
         temp_occupation=temperature_occupation(rho, h),
         temp_rate_ratio=temperature_rate_ratio(bloch, bloch_dot, omega_l),
+    )
+
+
+def bloch_row(t: float, p, p_dot, h_terms, omega_l: float, eps: float = CLAMP_EPS) -> ObservableRow:
+    """observable_row in closed form from the polarization P, its rate, and
+    H and dH/dt as the Pauli components hamiltonian_terms returns.
+
+    Eigenvalues (1 +- |P|)/2, purity (1 + |P|^2)/2, entropy the binary
+    entropy of the eigenvalues (clamped at eps inside the logs), energy
+    h0 + P.h, power h0_dot + P.h_dot, heat rate h . dP/dt; the occupation
+    temperature reads the occupations (1 -+ P.h/|h|)/2 of the two levels.
+    """
+    px, py, pz = p
+    dx, dy, dz = p_dot
+    h0, hx, hy, hz, e0, ex, ey, ez = h_terms
+    p2 = px * px + py * py + pz * pz
+    norm = math.sqrt(p2)
+    lam1 = 0.5 * (1.0 + norm)
+    lam2 = 0.5 * (1.0 - norm)
+    entropy = 0.0
+    for lam in (lam1, lam2):
+        lam = max(lam, eps)
+        entropy -= lam * math.log2(lam)
+    ph = px * hx + py * hy + pz * hz
+    h_norm = math.sqrt(hx * hx + hy * hy + hz * hz)
+    n_upper = 0.5 * ph / h_norm if h_norm > 0.0 else 0.0
+    return ObservableRow(
+        t=t,
+        bloch=(px, py, pz),
+        lambda1=lam1,
+        lambda2=lam2,
+        entropy=entropy,
+        purity=0.5 * (1.0 + p2),
+        energy=h0 + ph,
+        power=e0 + px * ex + py * ey + pz * ez,
+        heat_rate=hx * dx + hy * dy + hz * dz,
+        temp_occupation=_level_temperature(2.0 * h_norm, 0.5 - n_upper, 0.5 + n_upper),
+        temp_rate_ratio=temperature_rate_ratio(p, p_dot, omega_l),
     )

@@ -83,11 +83,17 @@ def eigh2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenvalues(rho: np.ndarray) -> tuple[float, float]:
-    """Density-matrix eigenvalues, descending; equals ((1+|P|)/2, (1-|P|)/2)."""
-    tr = (rho[0, 0] + rho[1, 1]).real
-    det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
-    disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    return 0.5 * (tr + disc), 0.5 * (tr - disc)
+    """Density-matrix eigenvalues, descending; equals ((1+|P|)/2, (1-|P|)/2).
+
+    The half-gap comes from hypot, as in eigh2, so it keeps full relative
+    precision near the maximally mixed state, where the discriminant
+    tr^2 - 4 det cancels to roundoff.
+    """
+    a = rho[0, 0].real
+    d = rho[1, 1].real
+    mean = 0.5 * (a + d)
+    r = math.hypot(0.5 * (a - d), abs(rho[0, 1]))
+    return mean + r, mean - r
 
 
 def matrix_log_clamped(rho: np.ndarray, eps: float = CLAMP_EPS) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Integration engine: accuracy, gates, analytic oracles, measurement."""
 
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from qubitdyn import engine
+from density_route import integrate_density
 from qubitdyn.engine import (
     IntegratorConfig,
     PositivityError,
@@ -19,6 +20,7 @@ from qubitdyn.engine import (
     linear_bloch_drift,
     measure,
     projective_collapse,
+    segment_plan,
     steady_analytic,
 )
 from qubitdyn.generators import (
@@ -27,14 +29,12 @@ from qubitdyn.generators import (
     GeneratorSet,
     HamiltonianSpec,
     LindbladOp,
+    bloch_rhs,
     delta_p,
-    hamiltonian,
-    hamiltonian_dot,
     measurement_op,
-    rhs,
     steady_op,
 )
-from qubitdyn.observables import HBAR, fidelity, observable_row
+from qubitdyn.observables import HBAR, bloch_row, fidelity
 from qubitdyn.pulses import MeasurementWindow, SoftSquarePulse, build_schedule
 from qubitdyn.spincore import SIGMA0, adjoint, bloch_to_density, density_to_bloch
 
@@ -217,12 +217,13 @@ class TestBlochOracle:
             gens = GeneratorSet(
                 hamiltonian=HamiltonianSpec(omega_l=OMEGA_L), lindblads=(op,)
             )
-            traj = integrate(
-                gens, bloch_to_density(p0), (0.0, 30.0), IntegratorConfig(samples=2)
-            )
+            cfg = IntegratorConfig(samples=2)
             oracle = integrate_bloch_oracle(
                 p0, OMEGA_L, ((op.alpha0, op.alpha, op.gamma),), (0.0, 30.0)
             )
+            density = integrate_density(gens, bloch_to_density(p0), (0.0, 30.0), cfg)
+            assert np.max(np.abs(density.final_bloch - oracle)) < 1e-8
+            traj = integrate(gens, bloch_to_density(p0), (0.0, 30.0), cfg)
             assert np.max(np.abs(traj.final_bloch - oracle)) < 1e-8
 
 
@@ -262,9 +263,9 @@ class TestLinearBlochDrift:
 class TestKnotStageReuse:
     """The stage evaluated at a sample knot gives the row and is the next
     step's first stage, so integrate evaluates the right-hand side
-    4 steps + 1 times."""
+    4 steps + 1 times, as its own counter reports."""
 
-    def test_one_rhs_per_knot_and_rows_exact(self, monkeypatch):
+    def test_one_rhs_per_knot_and_rows_exact(self):
         schedule = build_schedule(["not"], n_delay=1, omega_l=OMEGA_L, window=WINDOW)
         window = MeasurementWindow.for_rate(0.4 * T_LARMOR, 1.0, (1.0, 0.0, 0.0))
         noise = LindbladOp(
@@ -280,27 +281,22 @@ class TestKnotStageReuse:
             lindblads=(steady_op("sz", 0.00213), measurement_op(window, 1.0), noise),
             bath=BathSpec(gamma3=0.0013375, temperature=27.3, variant="korsch"),
         )
-        calls = [0]
-        original = engine.rhs_given_h
-
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "rhs_given_h", counting)
         cfg = IntegratorConfig(base_step=T_LARMOR / 200.0, pulse_refinement=10, samples=40)
         traj = integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, schedule.t_final), cfg)
-        assert calls[0] == 4 * traj.meta["steps"] + 1
-        assert len(traj.rows) == traj.meta["knots"]
+        meta = traj.meta
+        assert meta["rhs_evaluations"] == 4 * meta["steps"] + 1
+        assert meta["steps"] == meta["steps_base"] + meta["steps_refined"]
+        assert meta["steps_base"] > 0 and meta["steps_refined"] > 0
+        assert len(traj.rows) == meta["knots"]
 
-        hspec = gens.hamiltonian
+        drift = bloch_rhs(gens)
         for row, rho in zip(traj.rows, traj.states):
-            t = row.t
-            again = observable_row(
-                t, rho, hamiltonian(hspec, t), hamiltonian_dot(hspec, t), rhs(t, rho, gens), OMEGA_L
-            )
+            t, p = row.t, row.bloch
+            dx, dy, dz, _, _, h_terms = drift(t, *p)
+            again = bloch_row(t, p, (dx, dy, dz), h_terms, OMEGA_L)
             # equal to the last bit; nan sentinels match nan
             np.testing.assert_array_equal(np.hstack(astuple(row)), np.hstack(astuple(again)))
+            np.testing.assert_array_equal(rho, bloch_to_density(p))
 
 
 class TestMeasurement:
@@ -368,6 +364,48 @@ class TestPositivityGuard:
                 (0.0, 80.0),
                 IntegratorConfig(samples=10, validate_every=1),
             )
+
+    def test_stiff_dephasing_raises_at_first_step_outside_ball(self):
+        # sz at gamma 150 decays transverse P at 2 gamma; RK4 at the default
+        # step amplifies that mode instead, so the first step leaves the ball
+        gamma = 150.0
+        gens = GeneratorSet(
+            hamiltonian=HamiltonianSpec(omega_l=OMEGA_L), lindblads=(steady_op("sz", gamma),)
+        )
+        cfg = IntegratorConfig(samples=50)
+        a, b, n, _ = segment_plan(gens, (0.0, 2.0), cfg)[0]
+        h = (b - a) / n
+        z = h * complex(-2.0 * gamma, -OMEGA_L)
+        growth = abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+        p_after = math.hypot(0.5 * growth, 0.8)
+        assert p_after > 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PositivityError) as info:
+                integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, 2.0), cfg)
+        assert info.value.t == a + h
+        assert info.value.min_eigenvalue == pytest.approx(0.5 * (1.0 - p_after), rel=1e-9)
+
+    def test_non_finite_state_raises(self):
+        gens = GeneratorSet(
+            hamiltonian=HamiltonianSpec(omega_l=OMEGA_L), lindblads=(steady_op("sz", 1e150),)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PositivityError) as info:
+                integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, 2.0))
+        assert not math.isfinite(info.value.min_eigenvalue)
+
+    def test_min_eigenvalue_seen_covers_every_step(self):
+        gens = GeneratorSet(
+            hamiltonian=HamiltonianSpec(omega_l=OMEGA_L), lindblads=(steady_op("s+", 0.05),)
+        )
+        traj = integrate(
+            gens, bloch_to_density((0.0, 0.0, -0.2)), (0.0, 60.0), IntegratorConfig(samples=7)
+        )
+        p_max = max(float(np.linalg.norm(p)) for p in traj.bloch)
+        # the last row sits at the end of the most polarized step
+        assert traj.meta["min_eigenvalue_seen"] == pytest.approx(0.5 * (1.0 - p_max), abs=1e-15)
 
 
 class TestLarmorGrid:

@@ -75,6 +75,14 @@ class TestEigenvalues:
     def test_maximally_mixed(self):
         assert eigenvalues(0.5 * SIGMA0) == pytest.approx((0.5, 0.5), abs=1e-15)
 
+    def test_nearly_mixed_state_keeps_precision(self):
+        # tr^2 - 4 det cancels to roundoff here; the gap must not
+        for p in ((1e-9, 0.0, 0.0), (0.0, 3e-10, 4e-10), (2e-12, -1e-12, 2e-12)):
+            lam = eigenvalues(bloch_to_density(p))
+            norm = float(np.linalg.norm(p))
+            assert lam[0] - lam[1] == pytest.approx(norm, rel=1e-6)
+            assert lam[1] == pytest.approx(0.5 * (1.0 - norm), abs=1e-16)
+
     def test_pure_state(self):
         rho = np.outer(KET0, KET0.conj())
         assert eigenvalues(rho) == pytest.approx((1.0, 0.0), abs=1e-15)
