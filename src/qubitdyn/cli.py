@@ -45,7 +45,6 @@ from .scenario import (
     run_scenario,
     scenario_from_dict,
     svg_line_chart,
-    write_artifact,
 )
 from .spincore import bloch_to_density
 
@@ -146,7 +145,7 @@ def _cmd_sweep(args) -> int:
             f"{args.param},{r['value']!r},{float(r['fidelity'])!r},"
             f"{px!r},{py!r},{pz!r}"
         )
-    write_artifact(summary_path, "\n".join(lines) + "\n")
+    summary_path.write_text("\n".join(lines) + "\n")
     print(f"sweep {args.param} over {len(results)} values")
     for r in results:
         print(f"  {args.param} = {r['value']}: F = {_g(r['fidelity'])}, "
@@ -224,7 +223,7 @@ def _cmd_report(args) -> int:
     lines = ["t,fidelity,entropy,impurity"]
     for e in rows:
         lines.append(f"{e['t']!r},{e['fidelity']!r},{e['entropy']!r},{e['impurity']!r}")
-    write_artifact(grid_path, "\n".join(lines) + "\n")
+    grid_path.write_text("\n".join(lines) + "\n")
 
     t = [e["t"] for e in rows]
     for quantity, label in (("fidelity", "F"), ("entropy", "S (bits)"), ("impurity", "1 - purity")):

@@ -19,8 +19,8 @@ Work and heat are accumulated through the same Runge-Kutta stages as
 the state, using the stage rates Tr[rho dH/dt] (power) and Tr[H drho/dt]
 (heat flow), so the thermodynamic tallies carry the integrator's order.
 
-Health is checked on every step: a non-finite P, or a smallest
-eigenvalue (1 - |P|)/2 below the positivity floor, aborts with
+Health is checked at the start and on every step: a non-finite P, or a
+smallest eigenvalue (1 - |P|)/2 below the positivity floor, aborts with
 PositivityError.  Every validate_every steps the state is also watched
 for a degenerate ascent/bath beta, which is logged as an event.
 
@@ -210,13 +210,6 @@ def segment_plan(
     return plan
 
 
-def _density(px: float, py: float, pz: float) -> np.ndarray:
-    """(sigma_0 + P . sigma_vec)/2, unchecked."""
-    return np.array(
-        [[0.5 * (1.0 + pz), 0.5 * (px - 1.0j * py)], [0.5 * (px + 1.0j * py), 0.5 * (1.0 - pz)]]
-    )
-
-
 def integrate(
     gens: GeneratorSet,
     rho0: np.ndarray,
@@ -258,6 +251,8 @@ def integrate(
     floor = cfg.positivity_floor
     every = cfg.validate_every
     min_eig_seen = 0.5 * (1.0 - math.sqrt(px * px + py * py + pz * pz))
+    if not min_eig_seen >= floor:
+        raise PositivityError(t0, min_eig_seen)
     events: list[dict] = []
     suppressed_prev = False
     watch_beta = gens.beretta is not None or gens.bath is not None
@@ -271,7 +266,8 @@ def integrate(
         # the stage at the knot is also the next step's first stage
         dx, dy, dz, _, _, hterms = knot_stage
         rows.append(bloch_row(t, p, (dx, dy, dz), hterms, omega_l))
-        states.append(_density(*p))
+        # every recorded P has passed the health check against this floor
+        states.append(bloch_to_density(p, floor))
         work_samples.append(work)
         heat_samples.append(heat)
 

@@ -34,6 +34,7 @@ Every function here is pure; the integrator composes them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +53,14 @@ from .spincore import (
     matrix_log_clamped,
 )
 
-# variances at or below this floor (micro-eV^2) suppress the beta term
+# an energy variance at or below VAR_FLOOR (micro-eV^2) plus VAR_ROUNDOFF
+# times Tr(H^2)/2 = h0^2 + |h|^2 is degenerate and suppresses the beta
+# term: <H^2> - <H>^2 cancels to a few ulps of that scale, so below it the
+# computed variance is roundoff and reads differently in the Bloch and
+# density forms of the same state (0 or 1.5 ulps for P one ulp short of
+# a pure state along the field)
 VAR_FLOOR = 1e-18
+VAR_ROUNDOFF = 16.0 * sys.float_info.epsilon
 
 
 def _pauli_combo(coeff0: complex, coeffs) -> np.ndarray:
@@ -264,7 +271,7 @@ def state_covariances(
 def beta2(rho: np.ndarray, h: np.ndarray, eps: float = CLAMP_EPS) -> float:
     """State-dependent inverse temperature <dE dS>/<dE dE> of the ascent term.
 
-    nan sentinel when the energy variance is degenerate (below VAR_FLOOR).
+    nan sentinel when the energy variance is degenerate (see VAR_FLOOR).
     """
     return ascent_betas(rho, h, BerettaSpec(0.0), None, eps)[0]
 
@@ -366,13 +373,14 @@ def ascent_betas(
     b2 = b3 = math.nan
     if beretta is not None or (bath is not None and bath.variant == "beretta"):
         var_e, cov_es, var_s = state_covariances(rho, h, eps, s=s)
-        if beretta is not None and var_e > VAR_FLOOR:
+        floor = VAR_FLOOR + VAR_ROUNDOFF * 0.5 * trace_product(h, h).real
+        if beretta is not None and var_e > floor:
             b2 = cov_es / var_e
     if bath is not None:
         kt = KBOLTZ * bath.temperature
         if bath.variant == "korsch":
             b3 = 1.0 / kt
-        elif abs(denom := var_e - kt * cov_es) > VAR_FLOOR:
+        elif abs(denom := var_e - kt * cov_es) > floor:
             b3 = (cov_es - kt * var_s) / denom
     return b2, b3
 
@@ -449,13 +457,7 @@ def rhs_given_h(
     return out
 
 
-def beta_suppressed(t: float, rho: np.ndarray, gens: GeneratorSet, eps: float = CLAMP_EPS) -> bool:
-    """True when the ascent/bath beta coefficient is degenerate at this state."""
-    b2, b3 = ascent_betas(rho, hamiltonian(gens.hamiltonian, t), gens.beretta, gens.bath, eps)
-    return gens.beretta is not None and math.isnan(b2) or gens.bath is not None and math.isnan(b3)
-
-
-def bloch_betas(px, py, pz, hx, hy, hz, beretta, bath, eps: float = CLAMP_EPS):
+def bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath, eps: float = CLAMP_EPS):
     """(s, beta_2, beta_3) in Bloch form, for the state P and H = h0 + h . sigma.
 
     rho (S - <S>) has the Bloch vector -s P with s = (1 - p^2) artanh(p)/p,
@@ -477,21 +479,23 @@ def bloch_betas(px, py, pz, hx, hy, hz, beretta, bath, eps: float = CLAMP_EPS):
         var_e = hx * hx + hy * hy + hz * hz - ph * ph
         cov_es = -s * ph
         var_s = (1.0 - p2) * b * b
-        if beretta is not None and var_e > VAR_FLOOR:
+        floor = VAR_FLOOR + VAR_ROUNDOFF * (h0 * h0 + hx * hx + hy * hy + hz * hz)
+        if beretta is not None and var_e > floor:
             b2 = cov_es / var_e
     if bath is not None:
         kt = KBOLTZ * bath.temperature
         if bath.variant == "korsch":
             b3 = 1.0 / kt
-        elif abs(denom := var_e - kt * cov_es) > VAR_FLOOR:
+        elif abs(denom := var_e - kt * cov_es) > floor:
             b3 = (cov_es - kt * var_s) / denom
     return s, b2, b3
 
 
 def bloch_beta_suppressed(t: float, p, gens: GeneratorSet, eps: float = CLAMP_EPS) -> bool:
-    """Bloch form of beta_suppressed, for the polarization p at time t."""
-    _, hx, hy, hz = hamiltonian_terms(gens.hamiltonian, t)[:4]
-    _, b2, b3 = bloch_betas(*p, hx, hy, hz, gens.beretta, gens.bath, eps)
+    """True when the ascent/bath beta coefficient is degenerate at the
+    polarization p at time t."""
+    h0, hx, hy, hz = hamiltonian_terms(gens.hamiltonian, t)[:4]
+    _, b2, b3 = bloch_betas(*p, h0, hx, hy, hz, gens.beretta, gens.bath, eps)
     return gens.beretta is not None and math.isnan(b2) or gens.bath is not None and math.isnan(b3)
 
 
@@ -530,7 +534,7 @@ def bloch_rhs(gens: GeneratorSet, eps: float = CLAMP_EPS):
 
     def f(t, px, py, pz):
         hterms = hamiltonian_terms(hspec, t)
-        _, hx, hy, hz, e0, ex, ey, ez = hterms
+        h0, hx, hy, hz, e0, ex, ey, ez = hterms
         dx = c * (hy * pz - hz * py) + (m00 * px + m01 * py + m02 * pz + v0)
         dy = c * (hz * px - hx * pz) + (m10 * px + m11 * py + m12 * pz + v1)
         dz = c * (hx * py - hy * px) + (m20 * px + m21 * py + m22 * pz + v2)
@@ -543,7 +547,7 @@ def bloch_rhs(gens: GeneratorSet, eps: float = CLAMP_EPS):
                 dz += r * (a20 * px + a21 * py + a22 * pz + w2)
         if g23 != 0.0:
             # one shape at the rate-weighted beta equals the sum of both terms
-            s, b2, b3 = bloch_betas(px, py, pz, hx, hy, hz, beretta, bath, eps)
+            s, b2, b3 = bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath, eps)
             weighted = 0.0
             if g2 != 0.0:
                 weighted += g2 * (0.0 if math.isnan(b2) else b2)

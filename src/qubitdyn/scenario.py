@@ -713,19 +713,6 @@ def build_generators(scenario: Scenario, noise_ops=()) -> GeneratorSet:
     )
 
 
-def write_artifact(path, text: str) -> None:
-    """Write text to path as a new file.
-
-    An existing file is unlinked first rather than truncated in place:
-    on some filesystems (ext4 mounted with discard) truncating a
-    non-empty file can stall on the discard, while unlinking it and
-    creating a new one does not.
-    """
-    path = Path(path)
-    path.unlink(missing_ok=True)
-    path.write_text(text)
-
-
 def write_timeseries(traj, path) -> None:
     """CSV with the fixed header; floats as shortest round-trip decimals.
 
@@ -751,7 +738,7 @@ def write_timeseries(traj, path) -> None:
             r.temp_rate_ratio,
         )
         lines.append(",".join(repr(float(v)) for v in values))
-    write_artifact(path, "\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_timeseries(path) -> dict:
@@ -883,8 +870,8 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> RunRes
     write_timeseries(traj, csv_path)
     events_path = out_dir / EVENTS_NAME
     events_doc = {"schema_version": SCHEMA_VERSION, "events": events}
-    write_artifact(
-        events_path, json.dumps(events_doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    events_path.write_text(
+        json.dumps(events_doc, indent=2, sort_keys=True, default=_json_default) + "\n"
     )
 
     scenario_blob = json.dumps(scenario.resolved, sort_keys=True, separators=(",", ":"))
@@ -930,8 +917,8 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> RunRes
         "wall_seconds": round(time.perf_counter() - t_begin, 3),
     }
     manifest_path = out_dir / MANIFEST_NAME
-    write_artifact(
-        manifest_path, json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n"
+    manifest_path.write_text(
+        json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n"
     )
 
     if scenario.outputs.svg:
@@ -1048,4 +1035,4 @@ def svg_line_chart(path, title: str, x, series, x_label: str = "t (nsec)", y_lab
             f'fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    write_artifact(path, "\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n")

@@ -34,15 +34,22 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def bloch_to_density(bloch) -> np.ndarray:
-    """Density matrix (sigma_0 + P . sigma_vec)/2 for a polarization vector P."""
+def bloch_to_density(bloch, positivity_floor: float = -0.5 * BLOCH_NORM_TOL) -> np.ndarray:
+    """Density matrix (sigma_0 + P . sigma_vec)/2 for a polarization vector P.
+
+    Rejects P whose smallest eigenvalue (1 - |P|)/2 is below
+    positivity_floor (by default |P| > 1 + BLOCH_NORM_TOL) or not finite.
+    """
     p = np.asarray(bloch, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"polarization vector must have 3 components, got shape {p.shape}")
-    norm = float(np.linalg.norm(p))
-    if norm > 1.0 + BLOCH_NORM_TOL:
+    px, py, pz = p.tolist()
+    norm = math.sqrt(px * px + py * py + pz * pz)
+    if not 0.5 * (1.0 - norm) >= positivity_floor:
         raise ValueError(f"polarization norm {norm} exceeds 1")
-    return 0.5 * (SIGMA0 + p[0] * SIGMA1 + p[1] * SIGMA2 + p[2] * SIGMA3)
+    return np.array(
+        [[0.5 * (1.0 + pz), 0.5 * (px - 1.0j * py)], [0.5 * (px + 1.0j * py), 0.5 * (1.0 - pz)]]
+    )
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
@@ -76,7 +83,8 @@ def eigh2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return w, u
     # eigenvector for the upper eigenvalue; (b, w1 - a) never degenerates since |b| > 0
     v = np.array([b, w[1] - a], dtype=complex)
-    v /= np.linalg.norm(v)
+    # hypot does not underflow where |b|^2 would (|b| below about 1e-154)
+    v /= math.hypot(abs(v[0]), abs(v[1]))
     # the orthogonal complement is the lower eigenvector
     u = np.array([[-v[1].conjugate(), v[0]], [v[0].conjugate(), v[1]]])
     return w, u

@@ -4,7 +4,8 @@ qubitdyn.engine.integrate steps the polarization with the Bloch-form
 right-hand side generators.bloch_rhs.  This route steps rho itself with
 the density-matrix right-hand side generators.rhs_given_h, through the
 same segment plan (engine.segment_plan), and builds every row with the
-matrix observable_row.  The two share no right-hand-side code, so their
+matrix observable_row; beta_suppressed is the density form of the
+integrator's beta-suppression watch.  The two share no right-hand-side code, so their
 agreement sample by sample checks each against the other.
 
 After every step the state is re-symmetrized and trace-renormalized.
@@ -12,14 +13,28 @@ After every step the state is re-symmetrized and trace-renormalized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from qubitdyn.engine import IntegratorConfig, segment_plan
-from qubitdyn.generators import hamiltonian, hamiltonian_dot, rhs_given_h, trace_product
+from qubitdyn.generators import (
+    ascent_betas,
+    hamiltonian,
+    hamiltonian_dot,
+    rhs_given_h,
+    trace_product,
+)
 from qubitdyn.observables import ObservableRow, observable_row
 from qubitdyn.spincore import CLAMP_EPS, adjoint
+
+
+def beta_suppressed(t: float, rho: np.ndarray, gens, eps: float = CLAMP_EPS) -> bool:
+    """Density form of generators.bloch_beta_suppressed: True when the
+    ascent/bath beta coefficient is degenerate at rho."""
+    b2, b3 = ascent_betas(rho, hamiltonian(gens.hamiltonian, t), gens.beretta, gens.bath, eps)
+    return gens.beretta is not None and math.isnan(b2) or gens.bath is not None and math.isnan(b3)
 
 
 @dataclass

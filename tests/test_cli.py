@@ -245,47 +245,3 @@ class TestSweep:
         hot_eq = math.tanh(HBAR * OMEGA_L / (2.0 * KBOLTZ * 0.273))
         assert pz_hot == pytest.approx(hot_eq, abs=5e-4)
         assert pz_hot == pytest.approx(0.0037, abs=5e-4)
-
-
-class TestArtifactRewrite:
-    """Artifacts are replaced, not truncated in place: a run into a directory
-    that already holds longer files writes the same bytes as a fresh run."""
-
-    NAMES = (
-        "timeseries.csv",
-        "events.json",
-        "manifest.json",
-        "bloch.svg",
-        "larmor_grid.csv",
-        "fidelity.svg",
-        "entropy.svg",
-        "impurity.svg",
-    )
-
-    def test_rewrite_over_longer_files_matches_fresh_run(self, tmp_path, capsys):
-        outputs = {"samples": 60, "grid_report": True, "svg": True}
-        path = write_yaml(tmp_path / "p.yaml", precession_config(outputs=outputs))
-        fresh, dirty = tmp_path / "fresh", tmp_path / "dirty"
-        sweep_fresh, sweep_dirty = tmp_path / "sweep_fresh", tmp_path / "sweep_dirty"
-        garbage = b"not an artifact\n" * 40000
-        for d, names in ((dirty, self.NAMES), (sweep_dirty, ("sweep_summary.csv",))):
-            d.mkdir()
-            for name in names:
-                (d / name).write_bytes(garbage)
-        for out in (fresh, dirty):
-            assert main(["run", path, "--out", str(out)]) == 0
-            assert main(["report", str(out)]) == 0
-        for out in (sweep_fresh, sweep_dirty):
-            sweep = ["sweep", path, "--param", "level.omega_l", "--values", "0.3"]
-            assert main(sweep + ["--out", str(out)]) == 0
-        for name in self.NAMES:
-            a, b = (fresh / name).read_bytes(), (dirty / name).read_bytes()
-            assert len(b) < len(garbage), name
-            if name == "manifest.json":
-                # the manifest differs between runs only in wall_seconds
-                a, b = (json.loads(x) for x in (a, b))
-                a.pop("wall_seconds")
-                b.pop("wall_seconds")
-            assert a == b, name
-        summary = "sweep_summary.csv"
-        assert (sweep_dirty / summary).read_bytes() == (sweep_fresh / summary).read_bytes()

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from density_route import beta_suppressed
 from qubitdyn.generators import (
     AxisRotation,
     BathSpec,
@@ -22,7 +23,7 @@ from qubitdyn.generators import (
     beretta_term,
     beta2,
     beta2_closed_form,
-    beta_suppressed,
+    bloch_beta_suppressed,
     combined_23_term,
     delta_p,
     eigenvalue_flow,
@@ -472,8 +473,45 @@ class TestAssembledRhs:
             hamiltonian=HamiltonianSpec(omega_l=OMEGA_L),
             beretta=BerettaSpec(gamma2=0.01),
         )
-        assert beta_suppressed(0.0, bloch_to_density((0.0, 0.0, 1.0 - 1e-16)), gens)
-        assert not beta_suppressed(0.0, bloch_to_density((0.2, 0.4, 0.8)), gens)
+        assert bloch_beta_suppressed(0.0, (0.0, 0.0, 1.0 - 1e-16), gens)
+        assert not bloch_beta_suppressed(0.0, (0.2, 0.4, 0.8), gens)
+
+    def test_suppression_flag_matches_density_form(self):
+        # random states, states within a few ulps of a pure state along the
+        # field, whose computed energy variance is roundoff in both forms,
+        # and states just clear of that
+        rng = np.random.default_rng(41)
+        ulp = np.finfo(float).eps / 2.0
+        baths = (None, BathSpec(0.01, 2.0, "beretta"), BathSpec(0.01, 2.0, "korsch"))
+        n_flagged = n_clear = 0
+        for bath in baths:
+            for _ in range(60):
+                axis = rng.normal(size=3)
+                axis /= np.linalg.norm(axis)
+                if rng.uniform() < 0.3:
+                    axis = np.eye(3)[rng.integers(3)] * rng.choice((-1.0, 1.0))
+                rotation = AxisRotation(SmoothStep(1.0, 0.1), (0.0, 0.0, 1.0), tuple(axis))
+                gens = GeneratorSet(
+                    hamiltonian=HamiltonianSpec(omega_l=OMEGA_L, axis_rotation=rotation),
+                    beretta=BerettaSpec(gamma2=0.01),
+                    bath=bath,
+                )
+                t = 2.0  # the rotation is complete: H = -(hbar omega_L/2) axis . sigma
+                field = -axis
+                states = [random_bloch(rng, 1, r_max=0.999)[0]]
+                states += [field * (1.0 - k * ulp) for k in (0, 1, 2)]
+                states += [-field * (1.0 - k * ulp) for k in (0, 1, 2)]
+                # clear of the floor: 1e-13 short of pure, or pure and 1e-6 off the field
+                tilt = np.cross(field, rng.normal(size=3))
+                tilt /= np.linalg.norm(tilt)
+                states += [field * (1.0 - 1e-13), math.cos(1e-6) * field + math.sin(1e-6) * tilt]
+                for p in states:
+                    flag = bloch_beta_suppressed(t, tuple(p), gens)
+                    assert flag == beta_suppressed(t, bloch_to_density(p), gens), (p, bath)
+                    n_flagged += flag
+                    n_clear += not flag
+        assert n_flagged == len(baths) * 60 * 6
+        assert n_clear == len(baths) * 60 * 3
 
     def test_envelope_gates_dissipator(self):
         # a measurement operator only acts inside its window

@@ -4,7 +4,9 @@ Each example draws a generator set (gates, a bias hold, an axis rotation,
 constant and pulsed Lindblad operators, entropy ascent, either bath
 variant) and an initial state, integrates it with engine.integrate and
 with the density-matrix route of density_route.py, and compares them at
-every sample.  Draws are derandomized, so every run sees the same examples.
+every sample.  Draws are derandomized, so every run sees the same examples;
+each test counts the examples it compared and requires at least
+MIN_COMPARED of them.
 
 Initial states keep |P| >= 0.05: near the maximally mixed state the
 density route's covariances (state_covariances) lose their digits to
@@ -13,6 +15,7 @@ form's closed forms do not, so there the reference is the weaker route.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -29,9 +32,10 @@ from qubitdyn.generators import (
     LindbladOp,
     hamiltonian,
     hamiltonian_dot,
+    hamiltonian_terms,
     rhs,
 )
-from qubitdyn.observables import observable_row
+from qubitdyn.observables import KBOLTZ, observable_row
 from qubitdyn.pulses import BiasPulse, SmoothStep, SoftSquarePulse, build_schedule
 from qubitdyn.spincore import bloch_to_density
 
@@ -41,6 +45,13 @@ CONFIG = IntegratorConfig(base_step=T_LARMOR / 100.0, pulse_refinement=5, sample
 ROUTE_TOL = 1e-10
 ROW_TOL = 1e-12
 ROW_FIELDS = ("lambda1", "lambda2", "entropy", "purity", "energy", "power", "heat_rate")
+# the matrix route reads occupations through eigh2's eigenvectors of H,
+# which lose digits where a bias pulse nearly cancels the precession
+# (|h| near 1e-3 of its free value; differences up to about 1e-11 seen)
+OCCUPATION_TOL = 1e-10
+# examples that leave the ball end in PositivityError and compare nothing;
+# 56 of the 60 derandomized examples are compared
+MIN_COMPARED = 54
 
 unit = st.floats(-1.0, 1.0)
 coefficient = st.floats(-0.5, 0.5)
@@ -122,39 +133,78 @@ property_settings = settings(
 )
 
 
-class TestBlochAgainstDensityRoute:
-    @property_settings
-    @given(generator_sets(), polarizations())
-    def test_routes_agree_at_every_sample(self, drawn, p0):
-        gens, t_final = drawn
-        rho0 = bloch_to_density(p0)
-        density = integrate_density(gens, rho0, (0.0, t_final), CONFIG)
-        try:
-            traj = integrate(gens, rho0, (0.0, t_final), CONFIG)
-        except PositivityError as err:
-            # the density route does not check; it must have left the ball too
-            after = [r for r in density.rows if r.t >= err.t]
-            assert any(not r.lambda2 >= CONFIG.positivity_floor for r in after)
-            return
-        np.testing.assert_array_equal(traj.times, density.times)
-        assert np.max(np.abs(traj.bloch - density.bloch)) <= ROUTE_TOL
-        assert np.max(np.abs(traj.work - density.work)) <= ROUTE_TOL
-        assert np.max(np.abs(traj.heat - density.heat)) <= ROUTE_TOL
-        assert np.max(np.linalg.norm(traj.bloch, axis=1)) <= 1.0
+def run_examples(check) -> Counter:
+    """Run check(drawn, p0) on every derandomized example; count what it returns."""
+    outcomes = Counter()
 
     @property_settings
     @given(generator_sets(), polarizations())
-    def test_rows_match_density_observables(self, drawn, p0):
-        gens, t_final = drawn
-        try:
-            traj = integrate(gens, bloch_to_density(p0), (0.0, t_final), CONFIG)
-        except PositivityError:
-            return
-        hspec = gens.hamiltonian
-        for row, rho in zip(traj.rows, traj.states):
-            t = row.t
-            ref = observable_row(
-                t, rho, hamiltonian(hspec, t), hamiltonian_dot(hspec, t), rhs(t, rho, gens), OMEGA_L
-            )
-            for name in ROW_FIELDS:
-                assert abs(getattr(row, name) - getattr(ref, name)) <= ROW_TOL, (name, t)
+    def examples(drawn, p0):
+        outcomes[check(drawn, p0)] += 1
+
+    examples()
+    return outcomes
+
+
+def upper_occupation(row, hspec) -> float:
+    """Upper-level occupation 1/(1 + exp(gap/(kB T))) implied by the row's
+    occupation temperature T.  Unlike T it is well conditioned where the
+    occupations are nearly equal (T near +-inf), and it maps the sentinels
+    0, -0 and inf to 0, 1 and 1/2; nan (degenerate splitting) stays nan."""
+    t_occ = row.temp_occupation
+    if t_occ == 0.0:
+        return 0.0 if math.copysign(1.0, t_occ) > 0.0 else 1.0
+    hx, hy, hz = hamiltonian_terms(hspec, row.t)[1:4]
+    x = 2.0 * math.sqrt(hx * hx + hy * hy + hz * hz) / (KBOLTZ * t_occ)
+    return 1.0 / (1.0 + math.exp(min(x, 700.0)))
+
+
+class TestBlochAgainstDensityRoute:
+    def test_routes_agree_at_every_sample(self):
+        def check(drawn, p0):
+            gens, t_final = drawn
+            rho0 = bloch_to_density(p0)
+            density = integrate_density(gens, rho0, (0.0, t_final), CONFIG)
+            try:
+                traj = integrate(gens, rho0, (0.0, t_final), CONFIG)
+            except PositivityError as err:
+                # the density route does not check; it must have left the ball too
+                after = [r for r in density.rows if r.t >= err.t]
+                assert any(not r.lambda2 >= CONFIG.positivity_floor for r in after)
+                return "left the ball"
+            np.testing.assert_array_equal(traj.times, density.times)
+            assert np.max(np.abs(traj.bloch - density.bloch)) <= ROUTE_TOL
+            assert np.max(np.abs(traj.work - density.work)) <= ROUTE_TOL
+            assert np.max(np.abs(traj.heat - density.heat)) <= ROUTE_TOL
+            assert np.max(np.linalg.norm(traj.bloch, axis=1)) <= 1.0
+            return "compared"
+
+        outcomes = run_examples(check)
+        assert outcomes["compared"] >= MIN_COMPARED, outcomes
+
+    def test_rows_match_density_observables(self):
+        def check(drawn, p0):
+            gens, t_final = drawn
+            try:
+                traj = integrate(gens, bloch_to_density(p0), (0.0, t_final), CONFIG)
+            except PositivityError:
+                return "left the ball"
+            hspec = gens.hamiltonian
+            for row, rho in zip(traj.rows, traj.states):
+                t = row.t
+                h, hd = hamiltonian(hspec, t), hamiltonian_dot(hspec, t)
+                ref = observable_row(t, rho, h, hd, rhs(t, rho, gens), OMEGA_L)
+                for name in ROW_FIELDS:
+                    assert abs(getattr(row, name) - getattr(ref, name)) <= ROW_TOL, (name, t)
+                np.testing.assert_allclose(
+                    upper_occupation(row, hspec),
+                    upper_occupation(ref, hspec),
+                    rtol=0.0,
+                    atol=OCCUPATION_TOL,
+                    equal_nan=True,
+                    err_msg=f"temp_occupation at t={t}",
+                )
+            return "compared"
+
+        outcomes = run_examples(check)
+        assert outcomes["compared"] >= MIN_COMPARED, outcomes

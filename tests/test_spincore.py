@@ -116,6 +116,15 @@ class TestEigh2:
         assert np.allclose(w, [-1.0, 2.0])
         assert np.allclose(np.abs(u), [[0.0, 1.0], [1.0, 0.0]])
 
+    def test_tiny_off_diagonal_keeps_unit_eigenvectors(self):
+        # |b|^2 underflows for 1e-300 < |b| < 1e-154
+        for b in (1e-160, 1e-200j, 1e-299):
+            m = np.array([[0.3, b], [np.conj(b), -0.2]], dtype=complex)
+            w, u = eigh2(m)
+            assert np.all(np.isfinite(u))
+            assert np.allclose(u @ adjoint(u), SIGMA0, atol=1e-15)
+            assert np.allclose(u @ np.diag(w) @ adjoint(u), m, atol=1e-15)
+
 
 class TestMatrixLogClamped:
     def test_isotropic_state(self):
