@@ -33,11 +33,9 @@ from .generators import (
     HamiltonianSpec,
     LindbladOp,
     bath_beta,
-    beretta_term,
     beta2,
     beta2_closed_form,
     hamiltonian,
-    lindblad_term,
     measurement_op,
     rhs,
     steady_op,
@@ -56,7 +54,6 @@ from .observables import (
     temperature_rate_ratio,
 )
 from .pulses import (
-    BiasPulse,
     GateEvent,
     GateSchedule,
     GaussianPulse,

@@ -67,16 +67,12 @@ from .generators import (  # noqa: F401
 )
 from .observables import ObservableRow, bloch_row, fidelity, observable_row  # noqa: F401
 from .pulses import MeasurementWindow
-from .spincore import (
-    CLAMP_EPS,
-    adjoint,
-    bloch_to_density,
-    density_to_bloch,
-    validate,
-)
+from .spincore import adjoint, bloch_to_density, density_to_bloch, validate
 
 WEAK_MEASUREMENT_RATIO = 20.0
 MEASUREMENT_DRIFT_TOL = 5e-3
+# a sample time within this of a requested time is that sample (ns)
+ROW_TIME_TOL = 1e-9
 
 
 class PositivityError(RuntimeError):
@@ -139,10 +135,10 @@ class Trajectory:
     def final_bloch(self) -> np.ndarray:
         return np.asarray(self.rows[-1].bloch, dtype=float)
 
-    def row_index(self, t: float, tol: float = 1e-9) -> int:
-        times = self.times
-        i = bisect_left(times.tolist(), t - tol)
-        if i < len(times) and abs(times[i] - t) <= tol:
+    def row_index(self, t: float) -> int:
+        """Index of the row sampled within ROW_TIME_TOL of t; KeyError if none."""
+        i = bisect_left(self.rows, t - ROW_TIME_TOL, key=lambda r: r.t)
+        if i < len(self.rows) and abs(self.rows[i].t - t) <= ROW_TIME_TOL:
             return i
         raise KeyError(f"no sample at t={t!r}")
 
@@ -216,7 +212,6 @@ def integrate(
     t_span: tuple[float, float],
     cfg: IntegratorConfig | None = None,
     sample_times=None,
-    eps: float = CLAMP_EPS,
 ) -> Trajectory:
     """Evolve rho0 over t_span and sample every grid knot.
 
@@ -236,7 +231,7 @@ def integrate(
 
     omega_l = gens.hamiltonian.omega_l
     plan = segment_plan(gens, (t0, t1), cfg, sample_times)
-    drift = bloch_rhs(gens, eps)
+    drift = bloch_rhs(gens)
     evaluations = 0
 
     def stage(t, px, py, pz):
@@ -303,7 +298,7 @@ def integrate(
             if lam < min_eig_seen:
                 min_eig_seen = lam
             if watch_beta and steps % every == 0:
-                sup = bloch_beta_suppressed(t, (px, py, pz), gens, eps)
+                sup = bloch_beta_suppressed(t, (px, py, pz), gens)
                 if sup and not suppressed_prev:
                     events.append({"kind": "beta_suppressed", "t": float(t)})
                 suppressed_prev = sup

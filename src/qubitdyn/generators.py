@@ -49,7 +49,6 @@ from .spincore import (
     SIGMA2,
     SIGMA3,
     adjoint,
-    eigh2,
     matrix_log_clamped,
 )
 
@@ -61,6 +60,10 @@ from .spincore import (
 # a pure state along the field)
 VAR_FLOOR = 1e-18
 VAR_ROUNDOFF = 16.0 * sys.float_info.epsilon
+
+# largest |P| artanh sees in the Bloch form: matrix_log_clamped's eigenvalue
+# floor CLAMP_EPS as a bound on (1 - |P|)/2
+P_CLAMP = 1.0 - 2.0 * CLAMP_EPS
 
 
 def _pauli_combo(coeff0: complex, coeffs) -> np.ndarray:
@@ -223,13 +226,6 @@ class LindbladOp:
         return lo <= t <= hi
 
 
-def lindblad_term(l: np.ndarray, rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Dissipator Gamma (L rho L+ - {L+ L, rho}/2); traceless for any L."""
-    ld = adjoint(l)
-    ll = ld @ l
-    return gamma * (l @ rho @ ld - 0.5 * (ll @ rho + rho @ ll))
-
-
 def _op_term(op: LindbladOp, rho: np.ndarray, t: float) -> np.ndarray | None:
     if not op.active(t):
         return None
@@ -248,32 +244,36 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def state_covariances(
-    rho: np.ndarray, h: np.ndarray, eps: float = CLAMP_EPS, s: np.ndarray | None = None
+    rho: np.ndarray, h: np.ndarray, s: np.ndarray | None = None
 ) -> tuple[float, float, float]:
     """Covariances (<dE dE>, <dE dS>, <dS dS>) of energy and surprisal.
 
     The surprisal S = -ln rho commutes with rho, so rho S and rho S^2 are
-    Hermitian and all three covariances are real.  Pass s to reuse an
+    Hermitian and all three covariances are real.  <dE dS> and <dS dS>
+    are Tr[rho dS H] and Tr[rho dS dS] with the centred surprisal
+    dS = S - <S>, which keeps their digits near the maximally mixed state,
+    where <S^2> - <S>^2 cancels to roundoff.  Pass s to reuse an
     already-computed surprisal matrix.
     """
     if s is None:
-        s = -matrix_log_clamped(rho, eps)
+        s = -matrix_log_clamped(rho)
     rh = rho @ h
     rs = rho @ s
     e_mean = (rh[0, 0] + rh[1, 1]).real
-    s_mean = (rs[0, 0] + rs[1, 1]).real
+    ds = s - (rs[0, 0] + rs[1, 1]).real * SIGMA0
+    rds = rho @ ds
     var_e = trace_product(rh, h).real - e_mean * e_mean
-    cov_es = trace_product(rs, h).real - e_mean * s_mean
-    var_s = trace_product(rs, s).real - s_mean * s_mean
+    cov_es = trace_product(rds, h).real
+    var_s = trace_product(rds, ds).real
     return float(var_e), float(cov_es), float(var_s)
 
 
-def beta2(rho: np.ndarray, h: np.ndarray, eps: float = CLAMP_EPS) -> float:
+def beta2(rho: np.ndarray, h: np.ndarray) -> float:
     """State-dependent inverse temperature <dE dS>/<dE dE> of the ascent term.
 
     nan sentinel when the energy variance is degenerate (see VAR_FLOOR).
     """
-    return ascent_betas(rho, h, BerettaSpec(0.0), None, eps)[0]
+    return ascent_betas(rho, h, BerettaSpec(0.0), None)[0]
 
 
 def beta2_closed_form(bloch, omega_l: float) -> float:
@@ -309,19 +309,6 @@ def _ascent_shape(rho: np.ndarray, h: np.ndarray, s: np.ndarray, beta: float) ->
     return out
 
 
-def beretta_term(
-    rho: np.ndarray, h: np.ndarray, gamma2: float, eps: float = CLAMP_EPS
-) -> np.ndarray:
-    """Entropy-ascent contribution; transfers no heat by construction.
-
-    At a degenerate energy variance the beta part is suppressed and only
-    the entropy-raising part acts.
-    """
-    s = -matrix_log_clamped(rho, eps)
-    beta, _ = ascent_betas(rho, h, BerettaSpec(gamma2), None, eps, s)
-    return gamma2 * _ascent_shape(rho, h, s, 0.0 if math.isnan(beta) else beta)
-
-
 @dataclass(frozen=True)
 class BerettaSpec:
     """Strength of the closed-system entropy-ascent term."""
@@ -351,20 +338,12 @@ class BathSpec:
             raise ValueError("bath temperature must be positive")
 
 
-def bath_beta(
-    rho: np.ndarray,
-    h: np.ndarray,
-    bath: BathSpec,
-    eps: float = CLAMP_EPS,
-    s: np.ndarray | None = None,
-) -> float:
+def bath_beta(rho: np.ndarray, h: np.ndarray, bath: BathSpec, s=None) -> float:
     """Inverse-temperature coefficient of the bath term for the current state."""
-    return ascent_betas(rho, h, None, bath, eps, s)[1]
+    return ascent_betas(rho, h, None, bath, s)[1]
 
 
-def ascent_betas(
-    rho: np.ndarray, h: np.ndarray, beretta, bath, eps: float = CLAMP_EPS, s=None
-) -> tuple[float, float]:
+def ascent_betas(rho: np.ndarray, h: np.ndarray, beretta, bath, s=None) -> tuple[float, float]:
     """(beta_2, beta_3) of the ascent and bath terms, from one surprisal s
     (computed when None) and one covariance evaluation, made only when a
     state-dependent beta needs it.  nan marks an absent term, a degenerate
@@ -372,7 +351,7 @@ def ascent_betas(
     """
     b2 = b3 = math.nan
     if beretta is not None or (bath is not None and bath.variant == "beretta"):
-        var_e, cov_es, var_s = state_covariances(rho, h, eps, s=s)
+        var_e, cov_es, var_s = state_covariances(rho, h, s)
         floor = VAR_FLOOR + VAR_ROUNDOFF * 0.5 * trace_product(h, h).real
         if beretta is not None and var_e > floor:
             b2 = cov_es / var_e
@@ -385,36 +364,6 @@ def ascent_betas(
     return b2, b3
 
 
-def bath_term(
-    rho: np.ndarray, h: np.ndarray, bath: BathSpec, eps: float = CLAMP_EPS
-) -> np.ndarray:
-    """Thermal-bath contribution with the variant's beta_3."""
-    s = -matrix_log_clamped(rho, eps)
-    beta = bath_beta(rho, h, bath, eps, s)
-    return bath.gamma3 * _ascent_shape(rho, h, s, 0.0 if math.isnan(beta) else beta)
-
-
-def combined_23_term(
-    rho: np.ndarray,
-    h: np.ndarray,
-    beretta: BerettaSpec,
-    bath: BathSpec,
-    eps: float = CLAMP_EPS,
-) -> np.ndarray:
-    """Merged ascent-plus-bath form with gamma_23 = gamma2 + gamma3 and
-    beta_23 the rate-weighted mean of beta2 and beta3.
-
-    Algebraically equal to the sum of the separate terms.
-    """
-    s = -matrix_log_clamped(rho, eps)
-    b2, b3 = (0.0 if math.isnan(b) else b for b in ascent_betas(rho, h, beretta, bath, eps, s))
-    gamma_23 = beretta.gamma2 + bath.gamma3
-    if gamma_23 == 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    beta_23 = (beretta.gamma2 * b2 + bath.gamma3 * b3) / gamma_23
-    return gamma_23 * _ascent_shape(rho, h, s, beta_23)
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
     """Everything the integrator needs to evaluate drho/dt."""
@@ -425,14 +374,12 @@ class GeneratorSet:
     bath: BathSpec | None = None
 
 
-def rhs(t: float, rho: np.ndarray, gens: GeneratorSet, eps: float = CLAMP_EPS) -> np.ndarray:
+def rhs(t: float, rho: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """Full master-equation right-hand side at time t."""
-    return rhs_given_h(t, rho, gens, hamiltonian(gens.hamiltonian, t), eps)
+    return rhs_given_h(t, rho, gens, hamiltonian(gens.hamiltonian, t))
 
 
-def rhs_given_h(
-    t: float, rho: np.ndarray, gens: GeneratorSet, h: np.ndarray, eps: float = CLAMP_EPS
-) -> np.ndarray:
+def rhs_given_h(t: float, rho: np.ndarray, gens: GeneratorSet, h: np.ndarray) -> np.ndarray:
     """rhs with the Hamiltonian already evaluated (integrator fast path)."""
     out = (-1.0j / HBAR) * (h @ rho - rho @ h)
     for op in gens.lindblads:
@@ -442,8 +389,8 @@ def rhs_given_h(
     if gens.beretta is not None or gens.bath is not None:
         # both terms share the ascent shape, which is affine in beta, so
         # one evaluation at the rate-weighted beta equals the sum
-        s = -matrix_log_clamped(rho, eps)
-        b2, b3 = ascent_betas(rho, h, gens.beretta, gens.bath, eps, s)
+        s = -matrix_log_clamped(rho)
+        b2, b3 = ascent_betas(rho, h, gens.beretta, gens.bath, s)
         g2 = gens.beretta.gamma2 if gens.beretta is not None else 0.0
         g3 = gens.bath.gamma3 if gens.bath is not None else 0.0
         weighted = 0.0
@@ -457,19 +404,19 @@ def rhs_given_h(
     return out
 
 
-def bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath, eps: float = CLAMP_EPS):
+def bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath):
     """(s, beta_2, beta_3) in Bloch form, for the state P and H = h0 + h . sigma.
 
     rho (S - <S>) has the Bloch vector -s P with s = (1 - p^2) artanh(p)/p,
     and the covariances are var_E = |h|^2 - (P.h)^2, cov_ES = -s (P.h) and
     var_S = (1 - p^2) artanh(p)^2.  The betas follow from them as in
     ascent_betas, nan sentinels included.  artanh sees p clamped to
-    1 - 2 eps, the Bloch form of matrix_log_clamped's eigenvalue floor.
+    P_CLAMP.
     """
     p2 = px * px + py * py + pz * pz
     p = math.sqrt(p2)
     if p > 0.0:
-        b = math.atanh(min(p, 1.0 - 2.0 * eps))
+        b = math.atanh(min(p, P_CLAMP))
         s = (1.0 - p2) * b / p
     else:
         b, s = 0.0, 1.0
@@ -491,15 +438,15 @@ def bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath, eps: float = CLAMP_EP
     return s, b2, b3
 
 
-def bloch_beta_suppressed(t: float, p, gens: GeneratorSet, eps: float = CLAMP_EPS) -> bool:
+def bloch_beta_suppressed(t: float, p, gens: GeneratorSet) -> bool:
     """True when the ascent/bath beta coefficient is degenerate at the
     polarization p at time t."""
     h0, hx, hy, hz = hamiltonian_terms(gens.hamiltonian, t)[:4]
-    _, b2, b3 = bloch_betas(*p, h0, hx, hy, hz, gens.beretta, gens.bath, eps)
+    _, b2, b3 = bloch_betas(*p, h0, hx, hy, hz, gens.beretta, gens.bath)
     return gens.beretta is not None and math.isnan(b2) or gens.bath is not None and math.isnan(b3)
 
 
-def bloch_rhs(gens: GeneratorSet, eps: float = CLAMP_EPS):
+def bloch_rhs(gens: GeneratorSet):
     """The master equation in Bloch form, as a function of (t, Px, Py, Pz).
 
     With rho = (sigma_0 + P . sigma_vec)/2, H = h0 sigma_0 + h . sigma_vec,
@@ -547,7 +494,7 @@ def bloch_rhs(gens: GeneratorSet, eps: float = CLAMP_EPS):
                 dz += r * (a20 * px + a21 * py + a22 * pz + w2)
         if g23 != 0.0:
             # one shape at the rate-weighted beta equals the sum of both terms
-            s, b2, b3 = bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath, eps)
+            s, b2, b3 = bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath)
             weighted = 0.0
             if g2 != 0.0:
                 weighted += g2 * (0.0 if math.isnan(b2) else b2)
@@ -600,21 +547,6 @@ def delta_p(alpha0: complex, alpha, bloch) -> np.ndarray:
     out = out + np.cross(p, a0 * b_vec - b0 * a_vec)
     out = out + 2.0 * np.cross(a_vec, b_vec)
     return out
-
-
-def eigenvalue_flow(rho: np.ndarray, l: np.ndarray, gamma: float) -> tuple[float, float]:
-    """Eigenvalue rates of one dissipator in the state's own eigenbasis.
-
-    With V = U+ L U (U diagonalizing rho), dlambda_i/dt =
-    Gamma sum_{s != i} (|V_is|^2 lambda_s - |V_si|^2 lambda_i).  The pair
-    is ordered like eigh2 (ascending) and sums to zero.
-    """
-    w, u = eigh2(rho)
-    v = adjoint(u) @ l @ u
-    g12 = abs(v[0, 1]) ** 2
-    g21 = abs(v[1, 0]) ** 2
-    d1 = gamma * (g12 * w[1] - g21 * w[0])
-    return float(d1), float(-d1)
 
 
 STEADY_KINDS = ("sx", "sy", "sz", "s+", "s-")

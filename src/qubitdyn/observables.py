@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import CLAMP_EPS, adjoint, density_to_bloch, eigenvalues, eigh2, matrix_log_clamped
+from .spincore import CLAMP_EPS, adjoint, density_to_bloch, eigenvalues, eigh2
+
+# not called here; benchmarks/tracing.py looks it up by name in this namespace
+from .spincore import matrix_log_clamped  # noqa: F401
 
 HBAR = 0.6582  # micro-eV nanoseconds
 KBOLTZ = 86.17  # micro-eV per Kelvin
@@ -30,23 +33,13 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def entropy_base2(rho: np.ndarray, eps: float = CLAMP_EPS) -> float:
+def entropy_base2(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits, -sum lam log2 lam with clamped logs."""
     total = 0.0
     for lam in eigenvalues(rho):
-        lam = max(lam, eps)
+        lam = max(lam, CLAMP_EPS)
         total -= lam * math.log2(lam)
     return total
-
-
-def entropy_rate_base2(rho: np.ndarray, rho_dot: np.ndarray, eps: float = CLAMP_EPS) -> float:
-    """Instantaneous entropy rate -Tr[rho_dot log2 rho] in bits per nsec."""
-    return float(-np.trace(rho_dot @ matrix_log_clamped(rho, eps)).real / math.log(2.0))
-
-
-def purity_rate(rho: np.ndarray, rho_dot: np.ndarray) -> float:
-    """d Tr[rho^2]/dt = 2 Tr[rho rho_dot]."""
-    return float(2.0 * np.trace(rho @ rho_dot).real)
 
 
 def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
@@ -166,12 +159,12 @@ def observable_row(
     )
 
 
-def bloch_row(t: float, p, p_dot, h_terms, omega_l: float, eps: float = CLAMP_EPS) -> ObservableRow:
+def bloch_row(t: float, p, p_dot, h_terms, omega_l: float) -> ObservableRow:
     """observable_row in closed form from the polarization P, its rate, and
     H and dH/dt as the Pauli components hamiltonian_terms returns.
 
     Eigenvalues (1 +- |P|)/2, purity (1 + |P|^2)/2, entropy the binary
-    entropy of the eigenvalues (clamped at eps inside the logs), energy
+    entropy of the eigenvalues (clamped at CLAMP_EPS inside the logs), energy
     h0 + P.h, power h0_dot + P.h_dot, heat rate h . dP/dt; the occupation
     temperature reads the occupations (1 -+ P.h/|h|)/2 of the two levels.
     """
@@ -184,7 +177,7 @@ def bloch_row(t: float, p, p_dot, h_terms, omega_l: float, eps: float = CLAMP_EP
     lam2 = 0.5 * (1.0 - norm)
     entropy = 0.0
     for lam in (lam1, lam2):
-        lam = max(lam, eps)
+        lam = max(lam, CLAMP_EPS)
         entropy -= lam * math.log2(lam)
     ph = px * hx + py * hy + pz * hz
     h_norm = math.sqrt(hx * hx + hy * hy + hz * hz)

@@ -6,22 +6,22 @@ derivative used in the work/power bookkeeping is analytic.  Shapes:
 * Gaussian gate pulse   sqrt(pi)/(2 tau) exp(-((t-t0)/tau)^2), area pi/2,
   which drives a pi rotation of the polarization vector about the gate
   generator's axis.
-* Soft square           N 0.5 [erf((t-t1)/tau) - erf((t-t2)/tau)], with a
-  normalization factor N for gate area pi/2, unit area, or unit peak.
-* Bias pulse            peak-normalized soft square that switches the
-  level splitting off across a gate window so precession halts while the
-  gate acts.
+* Soft square           0.5 [erf((t-t1)/tau) - erf((t-t2)/tau)] scaled to
+  unit peak: the one window that switches every pulsed term on.  A gate's
+  bias (which switches the level splitting off so precession halts while
+  the gate acts), a measurement window's envelope and hold, and the noise
+  pulses are all instances of it.
 * Smooth step           (1 + erf(t/a))/2 for slow axis reorientation.
-* Measurement window    unit-peak soft square of width pi/Gamma with edge
-  width one percent of the width, plus the bias hold that keeps
-  precession off while it acts.
+* Measurement window    soft square of width pi/Gamma with edge width one
+  percent of the width, plus the soft-square hold that keeps precession
+  off while it acts.
 
 A pulse's support is the interval outside which it is numerically zero
 (8 widths past the edges, below 1e-27 of peak); integrators refine their
 step inside supports.
 
 Gate scheduling rests on one identity: an erf edge integrates exactly
-like a sharp step at its midpoint, so a bias pulse with edge midpoints
+like a sharp step at its midpoint, so a bias with edge midpoints
 m1 and m2 suppresses precession for exactly m2 - m1 = window + 4 tau
 (its frozen span), no matter the edge width.  Gate i's bias rise
 midpoint is anchored at i*T_D plus the frozen spans of all earlier
@@ -72,89 +72,46 @@ class GaussianPulse:
         return (self.t0 - SUPPORT_WIDTHS * self.tau, self.t0 + SUPPORT_WIDTHS * self.tau)
 
 
-NORMALIZATIONS = ("gate", "unit-peak", "unit-area")
-
-
-def _erf_window(t: float, t1: float, t2: float, tau: float) -> float:
-    """Raw soft-square window 0.5 [erf((t-t1)/tau) - erf((t-t2)/tau)]."""
-    return 0.5 * (math.erf((t - t1) / tau) - math.erf((t - t2) / tau))
-
-
-def _erf_window_dot(t: float, t1: float, t2: float, tau: float) -> float:
-    """Time derivative of _erf_window."""
-    x1 = (t - t1) / tau
-    x2 = (t - t2) / tau
-    return (math.exp(-x1 * x1) - math.exp(-x2 * x2)) / (math.sqrt(math.pi) * tau)
-
-
 @dataclass(frozen=True)
 class SoftSquarePulse:
-    """Soft square window between t1 and t2 with erf edges of width tau."""
+    """Soft square window between t1 and t2 with erf edges of width tau,
+    scaled to equal 1 at its midpoint.
+
+    As a gate bias it stays within 1e-6 of 1 across the gate window it
+    straddles (edges sit 2 gate-tau outside the window and the edge width
+    is half the gate tau).
+    """
 
     t1: float
     t2: float
     tau: float
-    normalization: str = "unit-peak"
+    # raw midpoint value erf((t2 - t1) / (2 tau)), the unit-peak divisor
+    _peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t2 <= self.t1:
             raise ValueError("soft square needs t2 > t1")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-
-    def norm_factor(self) -> float:
-        width = self.t2 - self.t1
-        if self.normalization == "gate":
-            return 0.5 * math.pi / width
-        if self.normalization == "unit-area":
-            return 1.0 / width
-        # raw midpoint value is erf(width / (2 tau))
-        return 1.0 / math.erf(0.5 * width / self.tau)
+        object.__setattr__(self, "_peak", math.erf(0.5 * (self.t2 - self.t1) / self.tau))
 
     def value(self, t: float) -> float:
-        return self.norm_factor() * _erf_window(t, self.t1, self.t2, self.tau)
+        rise = math.erf((t - self.t1) / self.tau)
+        return 0.5 * (rise - math.erf((t - self.t2) / self.tau)) / self._peak
 
     def derivative(self, t: float) -> float:
-        return self.norm_factor() * _erf_window_dot(t, self.t1, self.t2, self.tau)
+        x1 = (t - self.t1) / self.tau
+        x2 = (t - self.t2) / self.tau
+        raw = (math.exp(-x1 * x1) - math.exp(-x2 * x2)) / (math.sqrt(math.pi) * self.tau)
+        return raw / self._peak
 
     def area(self) -> float:
-        return self.norm_factor() * (self.t2 - self.t1)
+        return (self.t2 - self.t1) / self._peak
 
     def support(self) -> tuple[float, float]:
         return (self.t1 - SUPPORT_WIDTHS * self.tau, self.t2 + SUPPORT_WIDTHS * self.tau)
 
 
-@dataclass(frozen=True)
-class BiasPulse:
-    """Peak-normalized soft square that suppresses the level splitting.
-
-    Equals 1 at its midpoint exactly and stays within 1e-6 of 1 across the
-    gate window it straddles (edges sit 2 gate-tau outside the window and
-    the edge width is half the gate tau).
-    """
-
-    t1_tilde: float
-    t2_tilde: float
-    tau: float
-
-    def __post_init__(self):
-        if self.t2_tilde <= self.t1_tilde:
-            raise ValueError("bias window needs t2_tilde > t1_tilde")
-
-    def _peak(self) -> float:
-        return math.erf(0.5 * (self.t2_tilde - self.t1_tilde) / self.tau)
-
-    def value(self, t: float) -> float:
-        return _erf_window(t, self.t1_tilde, self.t2_tilde, self.tau) / self._peak()
-
-    def derivative(self, t: float) -> float:
-        return _erf_window_dot(t, self.t1_tilde, self.t2_tilde, self.tau) / self._peak()
-
-    def support(self) -> tuple[float, float]:
-        return (
-            self.t1_tilde - SUPPORT_WIDTHS * self.tau,
-            self.t2_tilde + SUPPORT_WIDTHS * self.tau,
-        )
+# benchmarks/tracing.py looks the envelope classes up by this name as well
+BiasPulse = SoftSquarePulse
 
 
 @dataclass(frozen=True)
@@ -202,16 +159,16 @@ class MeasurementWindow:
         return cls(t1=t1, t2=t1 + tau_m, r=tau_m / 100.0, direction=(d[0], d[1], d[2]))
 
     def envelope(self) -> SoftSquarePulse:
-        return SoftSquarePulse(self.t1, self.t2, self.r, "unit-peak")
+        return SoftSquarePulse(self.t1, self.t2, self.r)
 
     def support(self) -> tuple[float, float]:
         return self.envelope().support()
 
-    def hold(self) -> BiasPulse:
-        """Bias pulse holding precession off across the support, to below
-        1e-8: its edge midpoints sit 4 r outside it."""
+    def hold(self) -> SoftSquarePulse:
+        """Bias holding precession off across the support, to below 1e-8:
+        its edge midpoints sit 4 r outside it."""
         lo, hi = self.support()
-        return BiasPulse(lo - 4.0 * self.r, hi + 4.0 * self.r, self.r)
+        return SoftSquarePulse(lo - 4.0 * self.r, hi + 4.0 * self.r, self.r)
 
 
 @dataclass(frozen=True)
@@ -226,7 +183,7 @@ class GateEvent:
     kind: str
     generator: np.ndarray = field(repr=False)
     pulse: GaussianPulse
-    bias: BiasPulse
+    bias: SoftSquarePulse
     t_anchor: float
     t1: float
     t2: float
@@ -239,7 +196,7 @@ class GateEvent:
     @property
     def frozen_span(self) -> float:
         """Duration of suppressed precession: the bias midpoint span."""
-        return self.bias.t2_tilde - self.bias.t1_tilde
+        return self.bias.t2 - self.bias.t1
 
     @property
     def t_complete(self) -> float:
@@ -267,7 +224,7 @@ def make_gate(kind: str, t_anchor: float, window: float, tau: float | None = Non
         kind=kind,
         generator=GATE_GENERATORS[kind],
         pulse=GaussianPulse(t0=0.5 * (t1 + t2), tau=tau),
-        bias=BiasPulse(t1_tilde=t1 - 2.0 * tau, t2_tilde=t2 + 2.0 * tau, tau=0.5 * tau),
+        bias=SoftSquarePulse(t1 - 2.0 * tau, t2 + 2.0 * tau, 0.5 * tau),
         t_anchor=t_anchor,
         t1=t1,
         t2=t2,

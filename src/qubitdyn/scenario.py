@@ -682,7 +682,7 @@ def draw_noise_pulses(scenario: Scenario, rng: np.random.Generator) -> list[Lind
     ops = []
     for i, (row, t_start) in enumerate(zip(coeffs, noise_pulse_starts(scenario))):
         a0, a1, a2, a3, b0, b1, b2, b3 = (float(v) for v in row)
-        envelope = SoftSquarePulse(t_start, t_start + n.width, n.edge_tau, "unit-peak")
+        envelope = SoftSquarePulse(t_start, t_start + n.width, n.edge_tau)
         ops.append(
             LindbladOp(
                 alpha0=complex(a0, b0),
@@ -905,7 +905,7 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> RunRes
                 "t1": g.t1,
                 "t2": g.t2,
                 "frozen_span": g.frozen_span,
-                "bias": [g.bias.t1_tilde, g.bias.t2_tilde],
+                "bias": [g.bias.t1, g.bias.t2],
             }
             for g in scenario.schedule.gates
         ],
@@ -940,10 +940,11 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def svg_line_chart(path, title: str, x, series, x_label: str = "t (nsec)", y_label: str = "") -> None:
+def svg_line_chart(path, title: str, x, series, y_label: str = "") -> None:
     """Write a fixed-size standalone SVG line chart.
 
-    series is a list of (label, values) pairs sharing the x axis.  The
+    series is a list of (label, values) pairs sharing the x axis, which is
+    time in nanoseconds.  The
     output is deterministic for identical inputs: fixed 800x500 viewBox,
     fixed palette, %.6g coordinate formatting, no timestamps.
     """
@@ -1008,7 +1009,7 @@ def svg_line_chart(path, title: str, x, series, x_label: str = "t (nsec)", y_lab
         )
     parts.append(
         f'<text x="{_fmt(left + plot_w / 2)}" y="{_fmt(height - 10)}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{x_label}</text>'
+        f'font-size="13" font-family="sans-serif">t (nsec)</text>'
     )
     if y_label:
         parts.append(

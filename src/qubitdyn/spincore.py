@@ -104,8 +104,8 @@ def eigenvalues(rho: np.ndarray) -> tuple[float, float]:
     return mean + r, mean - r
 
 
-def matrix_log_clamped(rho: np.ndarray, eps: float = CLAMP_EPS) -> np.ndarray:
-    """Hermitian matrix log with eigenvalues clamped to at least eps.
+def matrix_log_clamped(rho: np.ndarray) -> np.ndarray:
+    """Hermitian matrix log with eigenvalues clamped to at least CLAMP_EPS.
 
     Keeps log rho finite for pure and near-pure states; the result shares
     rho's eigenvectors, so it commutes with rho to roundoff.  Uses the
@@ -117,8 +117,8 @@ def matrix_log_clamped(rho: np.ndarray, eps: float = CLAMP_EPS) -> np.ndarray:
     b = rho[0, 1]
     mean = 0.5 * (a + d)
     r = math.hypot(0.5 * (a - d), abs(b))
-    lw0 = math.log(max(mean - r, eps))
-    lw1 = math.log(max(mean + r, eps))
+    lw0 = math.log(max(mean - r, CLAMP_EPS))
+    lw1 = math.log(max(mean + r, CLAMP_EPS))
     c = 0.5 * (lw1 + lw0)
     if r < 1e-300:
         return np.array([[c, 0.0], [0.0, c]], dtype=complex)

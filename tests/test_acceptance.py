@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import yaml
 
-from density_route import integrate_density
+from density_route import entropy_rate_base2, integrate_density, purity_rate
 from qubitdyn.engine import (
     IntegratorConfig,
     ideal_reference,
@@ -32,14 +32,7 @@ from qubitdyn.generators import (
     rhs,
     steady_op,
 )
-from qubitdyn.observables import (
-    HBAR,
-    KBOLTZ,
-    entropy_rate_base2,
-    fidelity,
-    heat_rate,
-    purity_rate,
-)
+from qubitdyn.observables import HBAR, KBOLTZ, fidelity, heat_rate
 from qubitdyn.pulses import build_schedule
 from qubitdyn.spincore import bloch_to_density, density_to_bloch
 

@@ -272,7 +272,7 @@ class TestKnotStageReuse:
             alpha0=0.1 + 0.2j,
             alpha=(0.3 - 0.1j, -0.2 + 0.4j, 0.1 + 0.1j),
             gamma=0.107,
-            envelope=SoftSquarePulse(0.7 * T_LARMOR, 0.9 * T_LARMOR, 0.5, "unit-peak"),
+            envelope=SoftSquarePulse(0.7 * T_LARMOR, 0.9 * T_LARMOR, 0.5),
         )
         gens = GeneratorSet(
             hamiltonian=HamiltonianSpec(
@@ -426,6 +426,26 @@ class TestLarmorGrid:
         for t in after:
             phase = (t - span) / T_LARMOR
             assert phase == pytest.approx(round(phase), abs=1e-9)
+
+
+class TestRowIndex:
+    def test_knots_found_and_gaps_rejected(self):
+        traj = integrate(
+            GENS_FREE,
+            bloch_to_density((0.5, 0.0, 0.8)),
+            (0.0, T_LARMOR),
+            IntegratorConfig(samples=7, include_larmor_grid=False),
+        )
+        times = [r.t for r in traj.rows]
+        assert len(times) == 7
+        for i in (0, 3, len(times) - 1):
+            assert traj.row_index(times[i]) == i
+            # a time within the tolerance of a knot is that knot
+            assert traj.row_index(times[i] + 5e-10) == i
+        with pytest.raises(KeyError):
+            traj.row_index(0.5 * (times[2] + times[3]))
+        with pytest.raises(KeyError):
+            traj.row_index(times[-1] + 1e-6)
 
 
 class TestWorkAccounting:

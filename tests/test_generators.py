@@ -10,7 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from density_route import beta_suppressed
+from density_route import (
+    bath_term,
+    beretta_term,
+    beta_suppressed,
+    combined_23_term,
+    eigenvalue_flow,
+    entropy_rate_base2,
+    lindblad_term,
+)
 from qubitdyn.generators import (
     AxisRotation,
     BathSpec,
@@ -19,23 +27,18 @@ from qubitdyn.generators import (
     HamiltonianSpec,
     LindbladOp,
     bath_beta,
-    bath_term,
-    beretta_term,
     beta2,
     beta2_closed_form,
     bloch_beta_suppressed,
-    combined_23_term,
     delta_p,
-    eigenvalue_flow,
     hamiltonian,
     hamiltonian_dot,
-    lindblad_term,
     measurement_op,
     rhs,
     state_covariances,
     steady_op,
 )
-from qubitdyn.observables import HBAR, KBOLTZ, entropy_rate_base2, heat_rate
+from qubitdyn.observables import HBAR, KBOLTZ, heat_rate
 from qubitdyn.pulses import MeasurementWindow, SmoothStep, build_schedule
 from qubitdyn.spincore import (
     SIGMA0,
@@ -116,7 +119,7 @@ class TestHamiltonian:
         spec = HamiltonianSpec(omega_l=OMEGA_L, gates=schedule.gates)
         g = schedule.gates[0]
         dt = 1e-7
-        for t in np.linspace(g.bias.t1_tilde - 0.5, g.bias.t2_tilde + 0.5, 60):
+        for t in np.linspace(g.bias.t1 - 0.5, g.bias.t2 + 0.5, 60):
             fd = (hamiltonian(spec, t + dt) - hamiltonian(spec, t - dt)) / (2.0 * dt)
             assert np.max(np.abs(hamiltonian_dot(spec, t) - fd)) < 1e-6
 
@@ -331,6 +334,22 @@ class TestBerettaTerm:
             if var_e <= 1e-18:
                 continue
             assert var_s - cov_es * cov_es / var_e >= -1e-12
+
+    def test_surprisal_variance_near_mixed_state(self):
+        # <dS dS> = (1 - p^2) artanh(p)^2 keeps its digits down to |P| = 1e-14,
+        # where <S^2> - <S>^2 cancels to 0.  Along sigma_3 the state's own
+        # |P| is rho_11 - rho_22, exact in floats, and the surprisal matrix
+        # is diagonal, so only the covariance itself can lose digits.
+        for mag in (1e-14, 1e-8, 1e-4):
+            for sign in (1.0, -1.0):
+                rho = bloch_to_density((0.0, 0.0, sign * mag))
+                p = abs((rho[0, 0] - rho[1, 1]).real)
+                _, cov_es, var_s = state_covariances(rho, H_STATIC)
+                assert var_s == pytest.approx((1.0 - p * p) * math.atanh(p) ** 2, rel=1e-6)
+                # cov_ES = -s (P.h) with s = (1 - p^2) artanh(p)/p and P.h = h_3 P_z
+                s = (1.0 - p * p) * math.atanh(p) / p
+                ph = 0.5 * HBAR * OMEGA_L * -sign * p
+                assert cov_es == pytest.approx(-s * ph, rel=1e-6)
 
 
 class TestBathTerms:

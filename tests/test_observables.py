@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from density_route import entropy_rate_base2, purity_rate
 from qubitdyn.observables import (
     HBAR,
     KBOLTZ,
     energy,
     entropy_base2,
-    entropy_rate_base2,
     fidelity,
     heat_rate,
     observable_row,
     power,
     purity,
-    purity_rate,
     temperature_occupation,
     temperature_rate_ratio,
 )

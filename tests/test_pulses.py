@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from qubitdyn.pulses import (
-    BiasPulse,
     GaussianPulse,
     MeasurementWindow,
     SmoothStep,
@@ -79,20 +78,6 @@ class TestSoftSquarePulse:
         assert p.area() == pytest.approx(5.0, rel=1e-12)
         assert check_normalization(p) == pytest.approx(5.0, abs=1e-8)
 
-    def test_unit_area_normalization(self):
-        p = SoftSquarePulse(0.0, 5.0, 0.1, normalization="unit-area")
-        assert p.area() == pytest.approx(1.0, rel=1e-12)
-        assert p.value(2.5) == pytest.approx(0.2, abs=1e-9)
-
-    def test_gate_norm(self):
-        p = SoftSquarePulse(0.0, 5.0, 0.1, normalization="gate")
-        assert p.area() == pytest.approx(math.pi / 2.0, rel=1e-12)
-        assert check_normalization(p) == pytest.approx(math.pi / 2.0, abs=1e-8)
-
-    def test_unknown_normalization_rejected(self):
-        with pytest.raises(ValueError):
-            SoftSquarePulse(0.0, 5.0, 0.1, normalization="banana")
-
     def test_derivative_integrates_to_zero(self):
         p = SoftSquarePulse(1.0, 4.0, 0.05)
         lo, hi = p.support()
@@ -109,7 +94,7 @@ class TestSoftSquarePulse:
 
 class TestBiasPulse:
     def test_bounded_and_flat_inside(self):
-        b = BiasPulse(2.0, 8.0, 0.1)
+        b = SoftSquarePulse(2.0, 8.0, 0.1)
         for t in np.linspace(1.0, 9.0, 200):
             v = b.value(t)
             assert -1e-12 <= v <= 1.0 + 1e-9
@@ -118,19 +103,19 @@ class TestBiasPulse:
             assert abs(1.0 - b.value(t)) <= 1e-6
 
     def test_edge_midpoints_are_half(self):
-        b = BiasPulse(2.0, 8.0, 0.1)
+        b = SoftSquarePulse(2.0, 8.0, 0.1)
         assert b.value(2.0) == pytest.approx(0.5, abs=1e-12)
         assert b.value(8.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_area_equals_plateau_width(self):
         # erf edges centered on t1, t2 make the area exactly t2 - t1
-        b = BiasPulse(2.0, 8.0, 0.1)
+        b = SoftSquarePulse(2.0, 8.0, 0.1)
         lo, hi = b.support()
         total = quad(b.value, lo, hi, limit=200)[0]
         assert total == pytest.approx(6.0, abs=1e-9)
 
     def test_derivative_matches_finite_difference(self):
-        b = BiasPulse(2.0, 8.0, 0.1)
+        b = SoftSquarePulse(2.0, 8.0, 0.1)
         dt = 1e-7
         for t in np.linspace(1.5, 8.5, 100):
             fd = (b.value(t + dt) - b.value(t - dt)) / (2.0 * dt)
@@ -206,8 +191,8 @@ class TestMakeGate:
 
     def test_bias_contains_gaussian_window(self):
         g = make_gate("hadamard", 50.0, WINDOW, tau=0.2)
-        assert g.bias.t1_tilde < g.t1
-        assert g.bias.t2_tilde > g.t2
+        assert g.bias.t1 < g.t1
+        assert g.bias.t2 > g.t2
         # bias rise midpoint sits at the anchor
         assert g.bias.value(g.t_anchor) == pytest.approx(0.5, abs=1e-12)
 

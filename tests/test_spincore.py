@@ -137,7 +137,7 @@ class TestMatrixLogClamped:
 
     def test_clamp_engages_on_pure_state(self):
         rho = np.outer(KET0, KET0.conj())
-        out = matrix_log_clamped(rho, eps=1e-12)
+        out = matrix_log_clamped(rho)
         assert np.allclose(out, np.diag([0.0, math.log(1e-12)]), atol=1e-10)
 
     def test_commutes_with_state_and_stays_hermitian(self):
