@@ -15,6 +15,18 @@ points.  Segments that fall inside a pulse support march at
 base_step/pulse_refinement; everything else marches at base_step
 (default: one two-thousandth of the Larmor period).
 
+Each segment steps the drift restricted to the time-dependent parts
+active there (BlochDrift.restrict), built once per distinct active set.
+A gate (drive and bias), a bias hold or a pulsed envelope is active when
+its support meets the segment widened by ROW_TIME_TOL on both sides, so
+a knot on a support edge and a last stage time a few ulps past the knot
+see the same parts as the full drift; the axis rotation is never
+dropped.  Within a segment the H terms are computed once when no gate or
+hold is active and there is no axis rotation, and the coefficients (H
+terms, envelope rates) once per distinct stage time: k2 and k3 share
+t + h/2, and the next step's k1 reuses k4's when the two times are equal.
+The states stepped are the same, to the last bit, as with the full drift.
+
 Work and heat are accumulated through the same Runge-Kutta stages as
 the state, using the stage rates Tr[rho dH/dt] (power) and Tr[H drho/dt]
 (heat flow), so the thermodynamic tallies carry the integrator's order.
@@ -63,6 +75,7 @@ from .generators import (  # noqa: F401
     hamiltonian_dot,
     linear_bloch_drift,
     measurement_op,
+    part_supports,
     rhs_given_h,
 )
 from .observables import ObservableRow, bloch_row, fidelity, observable_row  # noqa: F401
@@ -143,21 +156,9 @@ class Trajectory:
         raise KeyError(f"no sample at t={t!r}")
 
 
-def _spans(gens: GeneratorSet) -> list[tuple[float, float, bool]]:
-    """Support (lo, hi, moves_h) of every time-dependent part; gates, bias
-    holds and the axis-rotation step move H, Lindblad envelopes do not."""
-    hspec = gens.hamiltonian
-    out = [g.support() for g in hspec.gates] + [b.support() for b in hspec.bias_holds]
-    if hspec.axis_rotation is not None:
-        out.append(hspec.axis_rotation.step.support())
-    out = [(lo, hi, True) for lo, hi in out]
-    out += [(*op.envelope.support(), False) for op in gens.lindblads if op.envelope is not None]
-    return out
-
-
 def _build_knots(t0: float, t1: float, spans, sample_times) -> np.ndarray:
     pts = [t0, t1]
-    for lo, hi, _ in spans:
+    for lo, hi in spans:
         if t0 < lo < t1:
             pts.append(lo)
         if t0 < hi < t1:
@@ -180,12 +181,17 @@ def _build_knots(t0: float, t1: float, spans, sample_times) -> np.ndarray:
 
 def segment_plan(
     gens: GeneratorSet, t_span: tuple[float, float], cfg: IntegratorConfig, sample_times=None
-) -> list[tuple[float, float, int, bool]]:
-    """(a, b, n, refined) for each segment between consecutive sample knots:
-    n equal RK4 steps from a to b, refined inside a pulse support.
+) -> list[tuple[float, float, int, bool, tuple[int, ...]]]:
+    """(a, b, n, refined, active) for each segment between consecutive
+    sample knots: n equal RK4 steps from a to b, refined inside a pulse
+    support, and the part_supports indices of the time-dependent parts
+    whose supports meet [a - ROW_TIME_TOL, b + ROW_TIME_TOL].
 
-    sample_times adds explicit knots on top of cfg's uniform samples and
-    Larmor grid; pulse support edges are always knots as well.
+    The tolerance keeps a part whose support edge is the knot a or b, and
+    covers a last stage time that rounds a few ulps past b, so the parts
+    left out of active are switched off at every stage time of the
+    segment.  sample_times adds explicit knots on top of cfg's uniform
+    samples and Larmor grid; pulse support edges are always knots as well.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     omega_l = gens.hamiltonian.omega_l
@@ -196,13 +202,17 @@ def segment_plan(
         extra.extend(np.linspace(t0, t1, cfg.samples))
     if cfg.include_larmor_grid:
         extra.extend(larmor_grid_times(t1, omega_l, gens.hamiltonian.gates, t_start=t0))
-    spans = _spans(gens)
+    spans = part_supports(gens)
     knots = _build_knots(t0, t1, spans, extra)
     plan = []
     for a, b in zip(knots[:-1].tolist(), knots[1:].tolist()):
         mid = 0.5 * (a + b)
-        refined = any(lo <= mid <= hi for lo, hi, _ in spans)
-        plan.append((a, b, max(1, math.ceil((b - a) / (fine if refined else base))), refined))
+        lo_w, hi_w = a - ROW_TIME_TOL, b + ROW_TIME_TOL
+        active = tuple(i for i, (lo, hi) in enumerate(spans) if lo <= hi_w and hi >= lo_w)
+        # a support holding the midpoint meets the window, so it is in active
+        refined = any(spans[i][0] <= mid <= spans[i][1] for i in active)
+        n = max(1, math.ceil((b - a) / (fine if refined else base)))
+        plan.append((a, b, n, refined, active))
     return plan
 
 
@@ -216,10 +226,14 @@ def integrate(
     """Evolve rho0 over t_span and sample every grid knot.
 
     sample_times adds explicit sample points on top of the uniform set;
-    pulse support edges are always sampled as well.  meta counts the
-    steps by kind (steps_base, steps_refined) and the right-hand-side
-    evaluations (4 per step plus 1: the stage evaluated at a knot gives
-    its row and is the next step's first stage).
+    pulse support edges are always sampled as well.  Each segment steps
+    the drift restricted to its active parts (one per distinct active
+    set).  meta counts the steps by kind (steps_base, steps_refined), the
+    right-hand-side evaluations (4 per step plus 1: the stage evaluated
+    at a knot gives its row and is the next step's first stage) and the
+    coefficient evaluations (one per distinct stage time in a segment with
+    time-dependent coefficients), and reports first_law_residual, the
+    largest |E(t) - E(t0) - W(t) - Q(t)| over the recorded rows.
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -232,12 +246,10 @@ def integrate(
     omega_l = gens.hamiltonian.omega_l
     plan = segment_plan(gens, (t0, t1), cfg, sample_times)
     drift = bloch_rhs(gens)
-    evaluations = 0
-
-    def stage(t, px, py, pz):
-        nonlocal evaluations
-        evaluations += 1
-        return drift(t, px, py, pz)
+    drifts = {}
+    for *_, active in plan:
+        if active not in drifts:
+            drifts[active] = drift.restrict(active)
 
     px, py, pz = density_to_bloch(np.asarray(rho0, dtype=complex)).tolist()
     work = 0.0
@@ -256,19 +268,28 @@ def integrate(
     states: list[np.ndarray] = []
     work_samples: list[float] = []
     heat_samples: list[float] = []
+    first_law_residual = 0.0
 
     def record(t: float, p, knot_stage):
+        nonlocal first_law_residual
         # the stage at the knot is also the next step's first stage
         dx, dy, dz, _, _, hterms = knot_stage
-        rows.append(bloch_row(t, p, (dx, dy, dz), hterms, omega_l))
+        row = bloch_row(t, p, (dx, dy, dz), hterms, omega_l)
+        rows.append(row)
         # every recorded P has passed the health check against this floor
         states.append(bloch_to_density(p, floor))
         work_samples.append(work)
         heat_samples.append(heat)
+        residual = abs(row.energy - rows[0].energy - work - heat)
+        if residual > first_law_residual:
+            first_law_residual = residual
 
-    cur = stage(t0, px, py, pz)
+    cur = drifts[plan[0][4]](t0, px, py, pz)
+    evaluations = 1
     record(t0, (px, py, pz), cur)
-    for a, b, n, _ in plan:
+    for a, b, n, _, active in plan:
+        stage = drifts[active]
+        evaluations += 4 * n
         h_step = (b - a) / n
         half = 0.5 * h_step
         sixth = h_step / 6.0
@@ -306,7 +327,7 @@ def integrate(
             cur = stage(b if i == n - 1 else t, px, py, pz)
         record(b, (px, py, pz), cur)
 
-    refined = sum(n for _, _, n, fine in plan if fine)
+    refined = sum(n for _, _, n, fine, _ in plan if fine)
     base = cfg.resolved_base_step(omega_l)
     meta = {
         "t_start": t0,
@@ -318,8 +339,10 @@ def integrate(
         "steps_base": steps - refined,
         "steps_refined": refined,
         "rhs_evaluations": evaluations,
+        "coefficient_evaluations": drift.coefficient_evaluations,
         "knots": len(plan) + 1,
         "min_eigenvalue_seen": min_eig_seen,
+        "first_law_residual": first_law_residual,
     }
     return Trajectory(
         rows=rows,

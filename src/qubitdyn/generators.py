@@ -25,8 +25,14 @@ views of it.
 Two forms of the right-hand side live here and do not call each other.
 bloch_rhs is the Bloch form the integrator steps: with
 rho = (sigma_0 + P . sigma_vec)/2 and H = h0 sigma_0 + h . sigma_vec every
-term is a closed-form drift of the three reals P.  rhs and rhs_given_h
-are the density-matrix form, kept as the independent reference.
+term is a closed-form drift of the three reals P.  It builds a BlochDrift
+once per run; the drift restricted to the time-dependent parts active in
+a segment reuses that work and the one drift body, drops the parts that
+are switched off there (never the axis rotation), and computes once what
+then depends on neither t nor P: the H terms with no gate, hold or axis
+rotation left, and the korsch bath's beta without the ascent term.  rhs
+and rhs_given_h are the density-matrix form, kept as the independent
+reference.
 
 Every function here is pure; the integrator composes them.
 """
@@ -404,22 +410,41 @@ def rhs_given_h(t: float, rho: np.ndarray, gens: GeneratorSet, h: np.ndarray) ->
     return out
 
 
-def bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath):
-    """(s, beta_2, beta_3) in Bloch form, for the state P and H = h0 + h . sigma.
+def part_supports(gens: GeneratorSet) -> list[tuple[float, float]]:
+    """Support (lo, hi) of every time-dependent part of gens, in the order
+    BlochDrift.restrict indexes them: the gates (drive and bias), the bias
+    holds, the axis-rotation step, then the pulsed Lindblad envelopes."""
+    hspec = gens.hamiltonian
+    out = [g.support() for g in hspec.gates] + [b.support() for b in hspec.bias_holds]
+    if hspec.axis_rotation is not None:
+        out.append(hspec.axis_rotation.step.support())
+    out += [op.envelope.support() for op in gens.lindblads if op.envelope is not None]
+    return out
 
-    rho (S - <S>) has the Bloch vector -s P with s = (1 - p^2) artanh(p)/p,
-    and the covariances are var_E = |h|^2 - (P.h)^2, cov_ES = -s (P.h) and
-    var_S = (1 - p^2) artanh(p)^2.  The betas follow from them as in
-    ascent_betas, nan sentinels included.  artanh sees p clamped to
-    P_CLAMP.
+
+def bloch_surprisal(px, py, pz):
+    """(p^2, artanh(p), s) for the polarization P, with p = |P|.
+
+    rho (S - <S>) has the Bloch vector -s P with s = (1 - p^2) artanh(p)/p
+    (1 at P = 0).  artanh sees p clamped to P_CLAMP.
     """
     p2 = px * px + py * py + pz * pz
     p = math.sqrt(p2)
     if p > 0.0:
-        b = math.atanh(min(p, P_CLAMP))
-        s = (1.0 - p2) * b / p
-    else:
-        b, s = 0.0, 1.0
+        # min(p, P_CLAMP) without the builtin call, nan passed through alike
+        b = math.atanh(P_CLAMP if P_CLAMP < p else p)
+        return p2, b, (1.0 - p2) * b / p
+    return p2, 0.0, 1.0
+
+
+def bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath):
+    """(s, beta_2, beta_3) in Bloch form, for the state P and H = h0 + h . sigma.
+
+    s is bloch_surprisal's; the covariances are var_E = |h|^2 - (P.h)^2,
+    cov_ES = -s (P.h) and var_S = (1 - p^2) artanh(p)^2.  The betas follow
+    from them as in ascent_betas, nan sentinels included.
+    """
+    p2, b, s = bloch_surprisal(px, py, pz)
     b2 = b3 = math.nan
     if beretta is not None or (bath is not None and bath.variant == "beretta"):
         ph = px * hx + py * hy + pz * hz
@@ -446,7 +471,23 @@ def bloch_beta_suppressed(t: float, p, gens: GeneratorSet) -> bool:
     return gens.beretta is not None and math.isnan(b2) or gens.bath is not None and math.isnan(b3)
 
 
-def bloch_rhs(gens: GeneratorSet):
+def _weighted_beta(g2: float, g3: float, g23: float, b2: float, b3: float) -> float:
+    """Rate-weighted beta of the ascent and bath terms, nan sentinels read as 0:
+    their shape is affine in beta, so one shape at this beta equals the sum."""
+    weighted = 0.0
+    if g2 != 0.0:
+        weighted += g2 * (0.0 if math.isnan(b2) else b2)
+    if g3 != 0.0:
+        weighted += 0.0 if math.isnan(b3) else g3 * b3
+    return weighted / g23
+
+
+def bloch_rhs(gens: GeneratorSet) -> BlochDrift:
+    """The master equation of gens in Bloch form; see BlochDrift."""
+    return BlochDrift(gens)
+
+
+class BlochDrift:
     """The master equation in Bloch form, as a function of (t, Px, Py, Pz).
 
     With rho = (sigma_0 + P . sigma_vec)/2, H = h0 sigma_0 + h . sigma_vec,
@@ -456,58 +497,120 @@ def bloch_rhs(gens: GeneratorSet):
         Lindblad k        Gamma_k theta_k(t)^2 (M_k P + v_k)
         ascent and bath   gamma [-(1 - p^2) artanh(p) n - beta (h - (P.h) P)]
 
-    where (M_k, v_k) is linear_bloch_drift's split of 2 delta_p; the
-    constant operators are summed into one affine drift here, once.  The
-    returned function gives (dPx, dPy, dPz, power, heat rate, H terms):
-    power Tr[rho dH/dt] = h0_dot + P . h_dot, heat rate Tr[H drho/dt] =
-    h . dP/dt, and the H terms as hamiltonian_terms returns them.
-    """
-    hspec = gens.hamiltonian
-    steady = [(op.alpha0, op.alpha, op.gamma) for op in gens.lindblads if op.envelope is None]
-    m, v = linear_bloch_drift(0.0, steady)
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
-    v0, v1, v2 = v.tolist()
-    pulsed = []
-    for op in gens.lindblads:
-        if op.envelope is not None:
-            mk, vk = linear_bloch_drift(0.0, [(op.alpha0, op.alpha, 1.0)])
-            lo, hi = op.envelope.support()
-            pulsed.append((op.envelope, lo, hi, op.gamma, *mk.ravel().tolist(), *vk.tolist()))
-    beretta, bath = gens.beretta, gens.bath
-    g2 = beretta.gamma2 if beretta is not None else 0.0
-    g3 = bath.gamma3 if bath is not None else 0.0
-    g23 = g2 + g3
-    c = 2.0 / HBAR
+    where (M_k, v_k) is linear_bloch_drift's split of 2 delta_p.  Building
+    the drift does the one-time work once per run: the constant operators
+    summed into one affine drift, each pulsed operator's (M_k, v_k), and
+    the rate constants.  A call gives (dPx, dPy, dPz, power, heat rate,
+    H terms): power Tr[rho dH/dt] = h0_dot + P . h_dot, heat rate
+    Tr[H drho/dt] = h . dP/dt, and the H terms as hamiltonian_terms
+    returns them.
 
-    def f(t, px, py, pz):
-        hterms = hamiltonian_terms(hspec, t)
-        h0, hx, hy, hz, e0, ex, ey, ez = hterms
-        dx = c * (hy * pz - hz * py) + (m00 * px + m01 * py + m02 * pz + v0)
-        dy = c * (hz * px - hx * pz) + (m10 * px + m11 * py + m12 * pz + v1)
-        dz = c * (hx * py - hy * px) + (m20 * px + m21 * py + m22 * pz + v2)
-        for env, lo, hi, gamma, a00, a01, a02, a10, a11, a12, a20, a21, a22, w0, w1, w2 in pulsed:
-            if lo <= t <= hi:
-                theta = env.value(t)
-                r = gamma * theta * theta
+    Called directly, the drift has every part.  restrict(active) reuses
+    the one-time work for a drift that keeps only the time-dependent parts
+    whose part_supports indices are in active, and is the same to the last
+    bit at every t where the parts left out are switched off (outside
+    their supports):
+
+    - a gate (its drive and its bias), a bias hold or a pulsed envelope
+      left out is never evaluated; one kept keeps its lo <= t <= hi check;
+    - the axis rotation is never dropped: hamiltonian_terms evaluates it at
+      every t, and its step derivative's tails reach outside its support;
+    - what then depends on neither t nor P is computed once: the H terms
+      when no gate or hold is kept and there is no axis rotation, and
+      beta = gamma_3 (1/kB T)/gamma_23 for a korsch bath without the
+      ascent term.
+
+    Each drift evaluates its coefficients, the H terms and the envelope
+    rates Gamma_k theta_k^2, once per distinct t: a call at the same t as
+    the call before reuses them.  coefficient_evaluations counts these
+    evaluations over all drifts restricted from this one.
+    """
+
+    def __init__(self, gens: GeneratorSet):
+        self.gens = gens
+        steady = [(op.alpha0, op.alpha, op.gamma) for op in gens.lindblads if op.envelope is None]
+        m, v = linear_bloch_drift(0.0, steady)
+        self._steady = (*m.ravel().tolist(), *v.tolist())
+        # (envelope, lo, hi, Gamma_k, (M_k row-major, v_k)) per pulsed operator
+        self._pulsed = []
+        for op in gens.lindblads:
+            if op.envelope is not None:
+                mk, vk = linear_bloch_drift(0.0, [(op.alpha0, op.alpha, 1.0)])
+                lo, hi = op.envelope.support()
+                row = (*mk.ravel().tolist(), *vk.tolist())
+                self._pulsed.append((op.envelope, lo, hi, op.gamma, row))
+        self.coefficient_evaluations = 0
+        self._full = self.restrict(range(len(part_supports(gens))))
+
+    def __call__(self, t, px, py, pz):
+        return self._full(t, px, py, pz)
+
+    def restrict(self, active):
+        """The drift with only the time-dependent parts whose part_supports
+        indices are in active (the axis rotation is always kept)."""
+        gens = self.gens
+        hspec = gens.hamiltonian
+        active = set(active)
+        n_gates = len(hspec.gates)
+        first_op = n_gates + len(hspec.bias_holds) + (hspec.axis_rotation is not None)
+        spec = HamiltonianSpec(
+            omega_l=hspec.omega_l,
+            gates=tuple(g for i, g in enumerate(hspec.gates) if i in active),
+            axis_rotation=hspec.axis_rotation,
+            bias_holds=tuple(b for i, b in enumerate(hspec.bias_holds, n_gates) if i in active),
+        )
+        pulsed = [op for i, op in enumerate(self._pulsed, first_op) if i in active]
+        fixed_h = not (spec.gates or spec.bias_holds or spec.axis_rotation is not None)
+        timed = not fixed_h or bool(pulsed)
+        m00, m01, m02, m10, m11, m12, m20, m21, m22, v0, v1, v2 = self._steady
+        beretta, bath = gens.beretta, gens.bath
+        g2 = beretta.gamma2 if beretta is not None else 0.0
+        g3 = bath.gamma3 if bath is not None else 0.0
+        g23 = g2 + g3
+        fixed_beta = None
+        if g23 != 0.0 and beretta is None and bath.variant == "korsch":
+            _, b2, b3 = bloch_betas(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, bath)
+            fixed_beta = _weighted_beta(g2, g3, g23, b2, b3)
+        c = 2.0 / HBAR
+        drift = self
+        coef_t = math.nan
+        hterms = hamiltonian_terms(spec, 0.0) if fixed_h else None
+        rates = []
+
+        def f(t, px, py, pz):
+            nonlocal coef_t, hterms, rates
+            if timed and t != coef_t:
+                coef_t = t
+                drift.coefficient_evaluations += 1
+                if not fixed_h:
+                    hterms = hamiltonian_terms(spec, t)
+                rates = []
+                for env, lo, hi, gamma, row in pulsed:
+                    if lo <= t <= hi:
+                        theta = env.value(t)
+                        rates.append((gamma * theta * theta, row))
+            h0, hx, hy, hz, e0, ex, ey, ez = hterms
+            dx = c * (hy * pz - hz * py) + (m00 * px + m01 * py + m02 * pz + v0)
+            dy = c * (hz * px - hx * pz) + (m10 * px + m11 * py + m12 * pz + v1)
+            dz = c * (hx * py - hy * px) + (m20 * px + m21 * py + m22 * pz + v2)
+            for r, (a00, a01, a02, a10, a11, a12, a20, a21, a22, w0, w1, w2) in rates:
                 dx += r * (a00 * px + a01 * py + a02 * pz + w0)
                 dy += r * (a10 * px + a11 * py + a12 * pz + w1)
                 dz += r * (a20 * px + a21 * py + a22 * pz + w2)
-        if g23 != 0.0:
-            # one shape at the rate-weighted beta equals the sum of both terms
-            s, b2, b3 = bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath)
-            weighted = 0.0
-            if g2 != 0.0:
-                weighted += g2 * (0.0 if math.isnan(b2) else b2)
-            if g3 != 0.0:
-                weighted += 0.0 if math.isnan(b3) else g3 * b3
-            beta = weighted / g23
-            ph = px * hx + py * hy + pz * hz
-            dx += g23 * (-s * px - beta * (hx - ph * px))
-            dy += g23 * (-s * py - beta * (hy - ph * py))
-            dz += g23 * (-s * pz - beta * (hz - ph * pz))
-        return dx, dy, dz, e0 + px * ex + py * ey + pz * ez, hx * dx + hy * dy + hz * dz, hterms
+            if g23 != 0.0:
+                if fixed_beta is None:
+                    s, b2, b3 = bloch_betas(px, py, pz, h0, hx, hy, hz, beretta, bath)
+                    beta = _weighted_beta(g2, g3, g23, b2, b3)
+                else:
+                    s = bloch_surprisal(px, py, pz)[2]
+                    beta = fixed_beta
+                ph = px * hx + py * hy + pz * hz
+                dx += g23 * (-s * px - beta * (hx - ph * px))
+                dy += g23 * (-s * py - beta * (hy - ph * py))
+                dz += g23 * (-s * pz - beta * (hz - ph * pz))
+            return dx, dy, dz, e0 + px * ex + py * ey + pz * ez, hx * dx + hy * dy + hz * dz, hterms
 
-    return f
+        return f
 
 
 def linear_bloch_drift(omega_l: float, ops) -> tuple[np.ndarray, np.ndarray]:

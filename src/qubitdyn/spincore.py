@@ -111,6 +111,9 @@ def matrix_log_clamped(rho: np.ndarray) -> np.ndarray:
     rho's eigenvectors, so it commutes with rho to roundoff.  Uses the
     spectral identity f(m) = c I + s (m - mean I) for 2x2 Hermitian m,
     c and s fixed by f at the two eigenvalues; no eigenvectors needed.
+    With neither eigenvalue clamped, s = artanh(r/mean)/r equals
+    (log w1 - log w0)/(2 r) without the difference of logs, which cancels
+    near the maximally mixed state.
     """
     a = rho[0, 0].real
     d = rho[1, 1].real
@@ -122,7 +125,10 @@ def matrix_log_clamped(rho: np.ndarray) -> np.ndarray:
     c = 0.5 * (lw1 + lw0)
     if r < 1e-300:
         return np.array([[c, 0.0], [0.0, c]], dtype=complex)
-    s = 0.5 * (lw1 - lw0) / r
+    if mean - r >= CLAMP_EPS:
+        s = math.atanh(r / mean) / r
+    else:
+        s = 0.5 * (lw1 - lw0) / r
     off = s * b
     return np.array(
         [[c + s * (a - mean), off], [off.conjugate(), c + s * (d - mean)]], dtype=complex

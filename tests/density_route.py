@@ -165,7 +165,7 @@ def integrate_density(
 
     cur = stage(float(t_span[0]), rho)
     record(float(t_span[0]), rho, cur)
-    for a, b, n, _ in plan:
+    for a, b, n, _, _ in plan:
         h_step = (b - a) / n
         half = 0.5 * h_step
         t = a

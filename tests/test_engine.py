@@ -24,6 +24,7 @@ from qubitdyn.engine import (
     steady_analytic,
 )
 from qubitdyn.generators import (
+    AxisRotation,
     BathSpec,
     BerettaSpec,
     GeneratorSet,
@@ -35,7 +36,7 @@ from qubitdyn.generators import (
     steady_op,
 )
 from qubitdyn.observables import HBAR, bloch_row, fidelity
-from qubitdyn.pulses import MeasurementWindow, SoftSquarePulse, build_schedule
+from qubitdyn.pulses import MeasurementWindow, SmoothStep, SoftSquarePulse, build_schedule
 from qubitdyn.spincore import SIGMA0, adjoint, bloch_to_density, density_to_bloch
 
 OMEGA_L = 0.2675
@@ -260,29 +261,37 @@ class TestLinearBlochDrift:
         assert np.all(v == 0.0)
 
 
+def pulsed_set():
+    """One gate, a measurement window (hold and envelope), a steady op, a
+    noise pulse and a korsch bath: the set TestKnotStageReuse runs."""
+    schedule = build_schedule(["not"], n_delay=1, omega_l=OMEGA_L, window=WINDOW)
+    window = MeasurementWindow.for_rate(0.4 * T_LARMOR, 1.0, (1.0, 0.0, 0.0))
+    noise = LindbladOp(
+        alpha0=0.1 + 0.2j,
+        alpha=(0.3 - 0.1j, -0.2 + 0.4j, 0.1 + 0.1j),
+        gamma=0.107,
+        envelope=SoftSquarePulse(0.7 * T_LARMOR, 0.9 * T_LARMOR, 0.5),
+    )
+    gens = GeneratorSet(
+        hamiltonian=HamiltonianSpec(
+            omega_l=OMEGA_L, gates=schedule.gates, bias_holds=(window.hold(),)
+        ),
+        lindblads=(steady_op("sz", 0.00213), measurement_op(window, 1.0), noise),
+        bath=BathSpec(gamma3=0.0013375, temperature=27.3, variant="korsch"),
+    )
+    return gens, schedule.t_final
+
+
 class TestKnotStageReuse:
     """The stage evaluated at a sample knot gives the row and is the next
     step's first stage, so integrate evaluates the right-hand side
     4 steps + 1 times, as its own counter reports."""
 
+    CFG = IntegratorConfig(base_step=T_LARMOR / 200.0, pulse_refinement=10, samples=40)
+
     def test_one_rhs_per_knot_and_rows_exact(self):
-        schedule = build_schedule(["not"], n_delay=1, omega_l=OMEGA_L, window=WINDOW)
-        window = MeasurementWindow.for_rate(0.4 * T_LARMOR, 1.0, (1.0, 0.0, 0.0))
-        noise = LindbladOp(
-            alpha0=0.1 + 0.2j,
-            alpha=(0.3 - 0.1j, -0.2 + 0.4j, 0.1 + 0.1j),
-            gamma=0.107,
-            envelope=SoftSquarePulse(0.7 * T_LARMOR, 0.9 * T_LARMOR, 0.5),
-        )
-        gens = GeneratorSet(
-            hamiltonian=HamiltonianSpec(
-                omega_l=OMEGA_L, gates=schedule.gates, bias_holds=(window.hold(),)
-            ),
-            lindblads=(steady_op("sz", 0.00213), measurement_op(window, 1.0), noise),
-            bath=BathSpec(gamma3=0.0013375, temperature=27.3, variant="korsch"),
-        )
-        cfg = IntegratorConfig(base_step=T_LARMOR / 200.0, pulse_refinement=10, samples=40)
-        traj = integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, schedule.t_final), cfg)
+        gens, t_final = pulsed_set()
+        traj = integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, t_final), self.CFG)
         meta = traj.meta
         assert meta["rhs_evaluations"] == 4 * meta["steps"] + 1
         assert meta["steps"] == meta["steps_base"] + meta["steps_refined"]
@@ -297,6 +306,125 @@ class TestKnotStageReuse:
             # equal to the last bit; nan sentinels match nan
             np.testing.assert_array_equal(np.hstack(astuple(row)), np.hstack(astuple(again)))
             np.testing.assert_array_equal(rho, bloch_to_density(p))
+
+    def test_coefficients_once_per_stage_time(self):
+        # k2 and k3 share t + h/2 and the next k1 reuses k4's time, so a
+        # pulsed run evaluates its coefficients less often than its drift
+        gens, t_final = pulsed_set()
+        rho0 = bloch_to_density((0.5, 0.0, 0.8))
+        meta = integrate(gens, rho0, (0.0, t_final), self.CFG).meta
+        assert 0 < meta["coefficient_evaluations"] < meta["rhs_evaluations"]
+        again = integrate(gens, rho0, (0.0, t_final), self.CFG).meta
+        assert again["coefficient_evaluations"] == meta["coefficient_evaluations"]
+        # steady operators alone: H and the rates are constant, evaluated never
+        steady = GeneratorSet(
+            hamiltonian=HamiltonianSpec(omega_l=OMEGA_L), lindblads=(steady_op("sx", 0.01),)
+        )
+        meta = integrate(steady, rho0, (0.0, T_LARMOR), self.CFG).meta
+        assert meta["coefficient_evaluations"] == 0
+
+    def test_first_law_residual(self):
+        # refinement 25, as the benchmark's reference runs: at this class's 10
+        # the refined step is 0.37 of the measurement hold's 0.031 ns edge
+        # width and RK4's truncation there leaves 8.4e-7 of max |W|, falling
+        # at fourth order (2.5e-8 at 25, 1.5e-9 at 50)
+        gens, t_final = pulsed_set()
+        cfg = IntegratorConfig(base_step=T_LARMOR / 200.0, pulse_refinement=25, samples=40)
+        traj = integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, t_final), cfg)
+        e0 = traj.rows[0].energy
+        residual = max(
+            abs(row.energy - e0 - w - q) for row, w, q in zip(traj.rows, traj.work, traj.heat)
+        )
+        assert traj.meta["first_law_residual"] == residual
+        assert residual <= 1e-7 * float(np.max(np.abs(traj.work)))
+
+
+def step_unrestricted(gens, rho0, t_span, cfg, sample_times):
+    """integrate's RK4 loop on the unrestricted drift bloch_rhs(gens), its
+    expressions copied; (P, W, Q) at every knot."""
+    drift = bloch_rhs(gens)
+    px, py, pz = density_to_bloch(rho0).tolist()
+    work = heat = 0.0
+    cur = drift(t_span[0], px, py, pz)
+    out = [(px, py, pz, work, heat)]
+    for a, b, n, _, _ in segment_plan(gens, t_span, cfg, sample_times):
+        h_step = (b - a) / n
+        half = 0.5 * h_step
+        sixth = h_step / 6.0
+        t = a
+        for i in range(n):
+            k1x, k1y, k1z, w1, q1, _ = cur
+            k2x, k2y, k2z, w2, q2, _ = drift(
+                t + half, px + half * k1x, py + half * k1y, pz + half * k1z
+            )
+            k3x, k3y, k3z, w3, q3, _ = drift(
+                t + half, px + half * k2x, py + half * k2y, pz + half * k2z
+            )
+            k4x, k4y, k4z, w4, q4, _ = drift(
+                t + h_step, px + h_step * k3x, py + h_step * k3y, pz + h_step * k3z
+            )
+            px += sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            py += sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            pz += sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            work += sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+            heat += sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            t = a + (i + 1) * h_step
+            cur = drift(b if i == n - 1 else t, px, py, pz)
+        out.append((px, py, pz, work, heat))
+    return out
+
+
+class TestSegmentDrift:
+    """integrate steps each segment with the drift restricted to the parts
+    active there; stepping the unrestricted drift instead gives the same
+    bits at every knot."""
+
+    def generator_set(self, beretta, bath):
+        schedule = build_schedule(["not", "hadamard"], n_delay=1, omega_l=OMEGA_L, window=WINDOW)
+        t_final = schedule.t_final
+        window = MeasurementWindow.for_rate(0.3 * t_final, 1.0, (0.0, 1.0, 0.0))
+        rotation = AxisRotation(
+            SmoothStep(0.6 * t_final, 0.2), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)
+        )
+        noise = LindbladOp(
+            alpha0=0.1 + 0.2j,
+            alpha=(0.3 - 0.1j, -0.2 + 0.4j, 0.1 + 0.1j),
+            gamma=0.107,
+            envelope=SoftSquarePulse(0.8 * t_final, 0.85 * t_final, 0.3),
+        )
+        gens = GeneratorSet(
+            hamiltonian=HamiltonianSpec(
+                omega_l=OMEGA_L,
+                gates=schedule.gates,
+                axis_rotation=rotation,
+                bias_holds=(window.hold(),),
+            ),
+            lindblads=(steady_op("s-", 0.00213), measurement_op(window, 1.0), noise),
+            beretta=beretta,
+            bath=bath,
+        )
+        # the noise pulse's rising support edge is also a requested sample
+        return gens, t_final, [noise.envelope.support()[0]]
+
+    @pytest.mark.parametrize(
+        "beretta, bath",
+        [
+            (None, BathSpec(gamma3=0.0013375, temperature=27.3, variant="korsch")),
+            (BerettaSpec(0.004), BathSpec(gamma3=0.0013375, temperature=27.3, variant="beretta")),
+        ],
+    )
+    def test_same_bits_as_unrestricted_drift(self, beretta, bath):
+        gens, t_final, extra = self.generator_set(beretta, bath)
+        cfg = IntegratorConfig(base_step=T_LARMOR / 200.0, pulse_refinement=10, samples=40)
+        rho0 = bloch_to_density((0.5, 0.1, 0.7))
+        plan = segment_plan(gens, (0.0, t_final), cfg, extra)
+        # segments with nothing active, with one part, and with several
+        assert {len(active) for *_, active in plan} >= {0, 1, 2}
+        assert any(b == extra[0] for _, b, _, _, _ in plan)
+        traj = integrate(gens, rho0, (0.0, t_final), cfg, sample_times=extra)
+        expected = step_unrestricted(gens, rho0, (0.0, t_final), cfg, extra)
+        got = [(*row.bloch, w, q) for row, w, q in zip(traj.rows, traj.work, traj.heat)]
+        assert got == expected
 
 
 class TestMeasurement:
@@ -373,7 +501,7 @@ class TestPositivityGuard:
             hamiltonian=HamiltonianSpec(omega_l=OMEGA_L), lindblads=(steady_op("sz", gamma),)
         )
         cfg = IntegratorConfig(samples=50)
-        a, b, n, _ = segment_plan(gens, (0.0, 2.0), cfg)[0]
+        a, b, n, _, _ = segment_plan(gens, (0.0, 2.0), cfg)[0]
         h = (b - a) / n
         z = h * complex(-2.0 * gamma, -OMEGA_L)
         growth = abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)

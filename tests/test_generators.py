@@ -351,6 +351,25 @@ class TestBerettaTerm:
                 ph = 0.5 * HBAR * OMEGA_L * -sign * p
                 assert cov_es == pytest.approx(-s * ph, rel=1e-6)
 
+    def test_surprisal_variance_off_axis(self):
+        # off sigma_3 the surprisal's off-diagonal s b carries var_S; s from
+        # the difference of the two eigenvalue logs lost 1e-8 relative at
+        # |P| = 1e-8 and 1.6e-3 at P = (1e-14, 0, 0).  q = r/mean is the
+        # state's own |P|, read from rho as matrix_log_clamped reads it.
+        def rel_error(p):
+            rho = bloch_to_density(p)
+            a, d = rho[0, 0].real, rho[1, 1].real
+            mean = 0.5 * (a + d)
+            q = math.hypot(0.5 * (a - d), abs(rho[0, 1])) / mean
+            expected = (1.0 - q * q) * math.atanh(q) ** 2
+            return abs(state_covariances(rho, H_STATIC)[2] - expected) / expected
+
+        assert rel_error((1e-14, 0.0, 0.0)) <= 1e-12
+        rng = np.random.default_rng(149)
+        for _ in range(200):
+            v = rng.normal(size=3)
+            assert rel_error(1e-8 * v / np.linalg.norm(v)) <= 1e-12
+
 
 class TestBathTerms:
     def test_korsch_gibbs_fixed_point(self):
