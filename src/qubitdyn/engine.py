@@ -209,8 +209,7 @@ def segment_plan(
         mid = 0.5 * (a + b)
         lo_w, hi_w = a - ROW_TIME_TOL, b + ROW_TIME_TOL
         active = tuple(i for i, (lo, hi) in enumerate(spans) if lo <= hi_w and hi >= lo_w)
-        # a support holding the midpoint meets the window, so it is in active
-        refined = any(spans[i][0] <= mid <= spans[i][1] for i in active)
+        refined = any(lo <= mid <= hi for lo, hi in spans)
         n = max(1, math.ceil((b - a) / (fine if refined else base)))
         plan.append((a, b, n, refined, active))
     return plan

@@ -572,7 +572,6 @@ class BlochDrift:
             _, b2, b3 = bloch_betas(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, bath)
             fixed_beta = _weighted_beta(g2, g3, g23, b2, b3)
         c = 2.0 / HBAR
-        drift = self
         coef_t = math.nan
         hterms = hamiltonian_terms(spec, 0.0) if fixed_h else None
         rates = []
@@ -581,7 +580,7 @@ class BlochDrift:
             nonlocal coef_t, hterms, rates
             if timed and t != coef_t:
                 coef_t = t
-                drift.coefficient_evaluations += 1
+                self.coefficient_evaluations += 1
                 if not fixed_h:
                     hterms = hamiltonian_terms(spec, t)
                 rates = []

@@ -10,9 +10,9 @@ MIN_COMPARED of them.
 
 Initial states keep |P| >= 0.05: near the maximally mixed state the
 density route's surprisal matrix (matrix_log_clamped) loses digits off
-the sigma_3 axis, because the difference of its two eigenvalue logs
-cancels (about 1e-3 relative at |P| = 1e-14), while the Bloch form's
-closed forms do not, so there the reference is the weaker route.
+the sigma_3 axis, because its diagonal c + s (a - mean) rounds (var_S
+about 3e-5 relative off at |P| = 1e-14), while the Bloch form's closed
+forms do not, so there the reference is the weaker route.
 """
 
 import math
