@@ -1,19 +1,36 @@
-"""Fixed-step Bloch-form integrator and its analytic cross-checks.
+"""Bloch-form integrator and its analytic cross-checks.
 
 The state is stepped as its polarization P, three reals, with
 rho = (sigma_0 + P . sigma_vec)/2: generators.bloch_rhs gives every term
-of the master equation as a closed-form drift of P, and the classic
-fourth-order Runge-Kutta rule advances (Px, Py, Pz) as Python floats.
-Trace and Hermiticity hold by construction, so there is no re-symmetrise
-or renormalise step; the density matrices in Trajectory.states are built
-from P at each sample knot.
+of the master equation as a closed-form drift of P, advanced as Python
+floats.  Trace and Hermiticity hold by construction, so there is no
+re-symmetrise or renormalise step; the density matrices in
+Trajectory.states are built from P at each sample knot.
 
 Integration runs on a segment grid.  Segment boundaries are the union of
 the run endpoints, every pulse support edge, and every requested sample
 time, so pulses are never straddled and samples land exactly on grid
-points.  Segments that fall inside a pulse support march at
-base_step/pulse_refinement; everything else marches at base_step
-(default: one two-thousandth of the Larmor period).
+points.  A base segment, outside every gate, hold and pulse support,
+takes equal classic fourth-order Runge-Kutta steps no longer than
+base_step (default: one two-thousandth of the Larmor period).
+
+A refined segment, one that a support covers, is stepped by the
+Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6:19, 1980) under the
+step control of Hairer, Norsett & Wanner (Solving ODEs I, II.4).  The
+error of a step is the largest |difference| between the fifth- and
+embedded fourth-order increments of (Px, Py, Pz, W, Q); the step is
+accepted when it is at most tol = (omega_L base_step)^5/120, the local
+RK4 error of one free-precession base step at |P| = 1, and the state
+advances by the fifth-order solution.  Steps are at most base_step, and
+at least base_step/pulse_refinement: a step at that floor is always
+accepted, so pulse_refinement is the finest step inside a pulse support.
+The rest of a segment is split into equal parts no longer than the
+proposed step, so the last step lands exactly on the knot, and the
+proposal carries over to the next refined segment.  The seventh stage is
+evaluated at the step's end, so it is the next step's first (FSAL).
+The step control depends on nothing but the floats of the run, so reruns
+take the same steps.  base_step and pulse_refinement keep their
+schema-v1 names and defaults; the tolerance is derived, not a setting.
 
 Each segment steps the drift restricted to the time-dependent parts
 active there (BlochDrift.restrict), built once per distinct active set.
@@ -23,18 +40,21 @@ a knot on a support edge and a last stage time a few ulps past the knot
 see the same parts as the full drift; the axis rotation is never
 dropped.  Within a segment the H terms are computed once when no gate or
 hold is active and there is no axis rotation, and the coefficients (H
-terms, envelope rates) once per distinct stage time: k2 and k3 share
-t + h/2, and the next step's k1 reuses k4's when the two times are equal.
-The states stepped are the same, to the last bit, as with the full drift.
+terms, envelope rates) once per distinct stage time: an RK4 step's k2
+and k3 share t + h/2, a Dormand-Prince step's sixth and seventh stages
+share its end, and the next step's first stage reuses the last one's
+time when the two are equal.  The states stepped are the same, to the
+last bit, as with the full drift.
 
 Work and heat are accumulated through the same Runge-Kutta stages as
 the state, using the stage rates Tr[rho dH/dt] (power) and Tr[H drho/dt]
 (heat flow), so the thermodynamic tallies carry the integrator's order.
 
-Health is checked at the start and on every step: a non-finite P, or a
-smallest eigenvalue (1 - |P|)/2 below the positivity floor, aborts with
-PositivityError.  Every validate_every steps the state is also watched
-for a degenerate ascent/bath beta, which is logged as an event.
+Health is checked at the start and on every accepted step: a non-finite
+P, or a smallest eigenvalue (1 - |P|)/2 below the positivity floor,
+aborts with PositivityError.  Every validate_every accepted steps the
+state is also watched for a degenerate ascent/bath beta, which is logged
+as an event.
 
 The module also carries the independent oracle routes used to pin the
 integrator down in tests: closed-form polarization solutions for the
@@ -43,7 +63,7 @@ steps the affine drift dP/dt = M P + v of precession plus constant
 Lindblad operators, built once per call by linear_bloch_drift from the
 drift form of the dissipator.  The density-matrix form of the right-hand
 side (generators.rhs) is the other reference; tests step it with the
-same segment plan.
+same segment plan and their own copy of the tableau and step control.
 
 Measurement runs wrap integrate() with a pulsed
 measurement operator, watching the conserved component along the
@@ -103,8 +123,12 @@ class PositivityError(RuntimeError):
 class IntegratorConfig:
     """Step sizes, health checks, and sampling policy.
 
-    positivity_floor bounds the smallest eigenvalue on every step;
-    validate_every is the step cadence of the beta-suppression watch.
+    base_step is the RK4 step outside pulse supports and the longest
+    Dormand-Prince step inside them; base_step/pulse_refinement is the
+    finest step inside them, always accepted.  The error tolerance is not
+    a setting: step_tolerance derives it from base_step.  positivity_floor
+    bounds the smallest eigenvalue on every accepted step; validate_every
+    is the step cadence of the beta-suppression watch.
     """
 
     base_step: float | None = None
@@ -119,6 +143,11 @@ class IntegratorConfig:
         if self.base_step is not None:
             return self.base_step
         return 2.0 * math.pi / omega_l / 2000.0
+
+    def step_tolerance(self, omega_l: float) -> float:
+        """(omega_L base_step)^5/120: the local RK4 error of one
+        free-precession base step at |P| = 1."""
+        return (omega_l * self.resolved_base_step(omega_l)) ** 5 / 120.0
 
 
 @dataclass
@@ -179,13 +208,89 @@ def _build_knots(t0: float, t1: float, spans, sample_times) -> np.ndarray:
     return np.array(merged)
 
 
+# step control of Hairer, Norsett & Wanner, Solving ODEs I, II.4: the next
+# step is SAFETY (tol/err)^(1/5) times this one, and grows by at most FAC_MAX
+# (not at all right after a rejection) and shrinks by at most FAC_MIN
+SAFETY = 0.9
+FAC_MAX = 5.0
+FAC_MIN = 0.2
+
+
+def dormand_prince_step(stage, t, h, t_new, px, py, pz, k1):
+    """One Dormand-Prince 5(4) step (J. Comput. Appl. Math. 6:19, 1980) of
+    (P, W, Q) from t to t_new = t + h, with k1 the stage at (t, P).
+
+    Returns the fifth-order (P, dW, dQ), the largest |difference| between
+    the fifth-order and the embedded fourth-order increments over the five
+    components, and the seventh stage, which is the stage at (t_new, P_new)
+    and so the next step's first (FSAL).  The sixth and seventh stages are
+    evaluated at t_new itself.
+    """
+    k1x, k1y, k1z, w1, q1, _ = k1
+    k2x, k2y, k2z, w2, q2, _ = stage(
+        t + h / 5, px + h * (k1x / 5), py + h * (k1y / 5), pz + h * (k1z / 5)
+    )
+    k3x, k3y, k3z, w3, q3, _ = stage(
+        t + 3 / 10 * h,
+        px + h * (3 / 40 * k1x + 9 / 40 * k2x),
+        py + h * (3 / 40 * k1y + 9 / 40 * k2y),
+        pz + h * (3 / 40 * k1z + 9 / 40 * k2z),
+    )
+    k4x, k4y, k4z, w4, q4, _ = stage(
+        t + 4 / 5 * h,
+        px + h * (44 / 45 * k1x - 56 / 15 * k2x + 32 / 9 * k3x),
+        py + h * (44 / 45 * k1y - 56 / 15 * k2y + 32 / 9 * k3y),
+        pz + h * (44 / 45 * k1z - 56 / 15 * k2z + 32 / 9 * k3z),
+    )
+    k5x, k5y, k5z, w5, q5, _ = stage(
+        t + 8 / 9 * h,
+        px + h * (19372 / 6561 * k1x - 25360 / 2187 * k2x + 64448 / 6561 * k3x - 212 / 729 * k4x),
+        py + h * (19372 / 6561 * k1y - 25360 / 2187 * k2y + 64448 / 6561 * k3y - 212 / 729 * k4y),
+        pz + h * (19372 / 6561 * k1z - 25360 / 2187 * k2z + 64448 / 6561 * k3z - 212 / 729 * k4z),
+    )
+    k6x, k6y, k6z, w6, q6, _ = stage(
+        t_new,
+        px + h * (9017 / 3168 * k1x - 355 / 33 * k2x + 46732 / 5247 * k3x
+                  + 49 / 176 * k4x - 5103 / 18656 * k5x),
+        py + h * (9017 / 3168 * k1y - 355 / 33 * k2y + 46732 / 5247 * k3y
+                  + 49 / 176 * k4y - 5103 / 18656 * k5y),
+        pz + h * (9017 / 3168 * k1z - 355 / 33 * k2z + 46732 / 5247 * k3z
+                  + 49 / 176 * k4z - 5103 / 18656 * k5z),
+    )
+    x = px + h * (35 / 384 * k1x + 500 / 1113 * k3x + 125 / 192 * k4x
+                  - 2187 / 6784 * k5x + 11 / 84 * k6x)
+    y = py + h * (35 / 384 * k1y + 500 / 1113 * k3y + 125 / 192 * k4y
+                  - 2187 / 6784 * k5y + 11 / 84 * k6y)
+    z = pz + h * (35 / 384 * k1z + 500 / 1113 * k3z + 125 / 192 * k4z
+                  - 2187 / 6784 * k5z + 11 / 84 * k6z)
+    dw = h * (35 / 384 * w1 + 500 / 1113 * w3 + 125 / 192 * w4 - 2187 / 6784 * w5 + 11 / 84 * w6)
+    dq = h * (35 / 384 * q1 + 500 / 1113 * q3 + 125 / 192 * q4 - 2187 / 6784 * q5 + 11 / 84 * q6)
+    k7 = stage(t_new, x, y, z)
+    k7x, k7y, k7z, w7, q7, _ = k7
+    # fifth- minus fourth-order weights; the second is zero in both
+    err = max(
+        abs(h * (71 / 57600 * k1x - 71 / 16695 * k3x + 71 / 1920 * k4x
+                 - 17253 / 339200 * k5x + 22 / 525 * k6x - 1 / 40 * k7x)),
+        abs(h * (71 / 57600 * k1y - 71 / 16695 * k3y + 71 / 1920 * k4y
+                 - 17253 / 339200 * k5y + 22 / 525 * k6y - 1 / 40 * k7y)),
+        abs(h * (71 / 57600 * k1z - 71 / 16695 * k3z + 71 / 1920 * k4z
+                 - 17253 / 339200 * k5z + 22 / 525 * k6z - 1 / 40 * k7z)),
+        abs(h * (71 / 57600 * w1 - 71 / 16695 * w3 + 71 / 1920 * w4
+                 - 17253 / 339200 * w5 + 22 / 525 * w6 - 1 / 40 * w7)),
+        abs(h * (71 / 57600 * q1 - 71 / 16695 * q3 + 71 / 1920 * q4
+                 - 17253 / 339200 * q5 + 22 / 525 * q6 - 1 / 40 * q7)),
+    )
+    return x, y, z, dw, dq, err, k7
+
+
 def segment_plan(
     gens: GeneratorSet, t_span: tuple[float, float], cfg: IntegratorConfig, sample_times=None
 ) -> list[tuple[float, float, int, bool, tuple[int, ...]]]:
     """(a, b, n, refined, active) for each segment between consecutive
-    sample knots: n equal RK4 steps from a to b, refined inside a pulse
-    support, and the part_supports indices of the time-dependent parts
-    whose supports meet [a - ROW_TIME_TOL, b + ROW_TIME_TOL].
+    sample knots: refined when a pulse, gate or hold support covers it
+    (stepped by Dormand-Prince, n = 0), else n equal RK4 steps from a to
+    b; and the part_supports indices of the time-dependent parts whose
+    supports meet [a - ROW_TIME_TOL, b + ROW_TIME_TOL].
 
     The tolerance keeps a part whose support edge is the knot a or b, and
     covers a last stage time that rounds a few ulps past b, so the parts
@@ -196,7 +301,6 @@ def segment_plan(
     t0, t1 = float(t_span[0]), float(t_span[1])
     omega_l = gens.hamiltonian.omega_l
     base = cfg.resolved_base_step(omega_l)
-    fine = base / cfg.pulse_refinement
     extra = [] if sample_times is None else list(np.asarray(sample_times, float))
     if cfg.samples and cfg.samples > 1:
         extra.extend(np.linspace(t0, t1, cfg.samples))
@@ -210,7 +314,7 @@ def segment_plan(
         lo_w, hi_w = a - ROW_TIME_TOL, b + ROW_TIME_TOL
         active = tuple(i for i, (lo, hi) in enumerate(spans) if lo <= hi_w and hi >= lo_w)
         refined = any(lo <= mid <= hi for lo, hi in spans)
-        n = max(1, math.ceil((b - a) / (fine if refined else base)))
+        n = 0 if refined else max(1, math.ceil((b - a) / base))
         plan.append((a, b, n, refined, active))
     return plan
 
@@ -227,12 +331,16 @@ def integrate(
     sample_times adds explicit sample points on top of the uniform set;
     pulse support edges are always sampled as well.  Each segment steps
     the drift restricted to its active parts (one per distinct active
-    set).  meta counts the steps by kind (steps_base, steps_refined), the
-    right-hand-side evaluations (4 per step plus 1: the stage evaluated
-    at a knot gives its row and is the next step's first stage) and the
-    coefficient evaluations (one per distinct stage time in a segment with
-    time-dependent coefficients), and reports first_law_residual, the
-    largest |E(t) - E(t0) - W(t) - Q(t)| over the recorded rows.
+    set).  meta counts the accepted steps by kind (steps_base RK4,
+    steps_refined Dormand-Prince), the rejected Dormand-Prince steps
+    (steps_rejected), the accepted ones at the floor refined_step with an
+    error above step_tolerance (steps_at_floor), the right-hand-side
+    evaluations (4 per base step, 6 per attempted refined step, plus 1:
+    the stage evaluated at a knot gives its row and is the next step's
+    first stage) and the coefficient evaluations (one per distinct stage
+    time in a segment with time-dependent coefficients), and reports
+    first_law_residual, the largest |E(t) - E(t0) - W(t) - Q(t)| over the
+    recorded rows.
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -283,11 +391,65 @@ def integrate(
         if residual > first_law_residual:
             first_law_residual = residual
 
+    def accepted(t: float, px: float, py: float, pz: float):
+        """Count one accepted step ending at t and check the state there."""
+        nonlocal steps, min_eig_seen, suppressed_prev
+        steps += 1
+        # smallest eigenvalue (1 - |P|)/2; nan and inf fail the comparison
+        lam = 0.5 * (1.0 - math.sqrt(px * px + py * py + pz * pz))
+        if not lam >= floor:
+            raise PositivityError(t, lam)
+        if lam < min_eig_seen:
+            min_eig_seen = lam
+        if watch_beta and steps % every == 0:
+            sup = bloch_beta_suppressed(t, (px, py, pz), gens)
+            if sup and not suppressed_prev:
+                events.append({"kind": "beta_suppressed", "t": float(t)})
+            suppressed_prev = sup
+
+    base = cfg.resolved_base_step(omega_l)
+    finest = base / cfg.pulse_refinement
+    tol = cfg.step_tolerance(omega_l)
+    # the controller's proposed step, carried from one refined segment to the next
+    h_next = base
+    refined_steps = rejected = at_floor = 0
     cur = drifts[plan[0][4]](t0, px, py, pz)
     evaluations = 1
     record(t0, (px, py, pz), cur)
-    for a, b, n, _, active in plan:
+    for a, b, n, refined, active in plan:
         stage = drifts[active]
+        if refined:
+            t = a
+            grow_max = FAC_MAX
+            while t < b:
+                # the rest of the segment in equal parts no longer than h_next
+                parts = math.ceil((b - t) / h_next)
+                t_new = b if parts == 1 else t + (b - t) / parts
+                # the step the times advance by, so rounding of t never accumulates
+                h = t_new - t
+                x, y, z, dw, dq, err, k7 = dormand_prince_step(stage, t, h, t_new, px, py, pz, cur)
+                evaluations += 6
+                # at the floor: h, or the proposal it was split from, since the
+                # split can round h a few ulps past a proposal at the floor
+                if err <= tol or min(h, h_next) <= finest:
+                    if not err <= tol:
+                        at_floor += 1
+                    px, py, pz, t, cur = x, y, z, t_new, k7
+                    work += dw
+                    heat += dq
+                    refined_steps += 1
+                    accepted(t, px, py, pz)
+                    grow = SAFETY * (tol / err) ** 0.2 if err > 0.0 else grow_max
+                    h_next = min(base, max(finest, h * min(grow_max, grow)))
+                    grow_max = FAC_MAX
+                else:
+                    rejected += 1
+                    # nan and inf fail err < inf and shrink by the most
+                    shrink = SAFETY * (tol / err) ** 0.2 if err < math.inf else FAC_MIN
+                    h_next = max(finest, h * max(FAC_MIN, shrink))
+                    grow_max = 1.0
+            record(b, (px, py, pz), cur)
+            continue
         evaluations += 4 * n
         h_step = (b - a) / n
         half = 0.5 * h_step
@@ -310,33 +472,23 @@ def integrate(
             work += sixth * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
             heat += sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
             t = a + (i + 1) * h_step
-            steps += 1
-            # smallest eigenvalue (1 - |P|)/2; nan and inf fail the comparison
-            lam = 0.5 * (1.0 - math.sqrt(px * px + py * py + pz * pz))
-            if not lam >= floor:
-                raise PositivityError(t, lam)
-            if lam < min_eig_seen:
-                min_eig_seen = lam
-            if watch_beta and steps % every == 0:
-                sup = bloch_beta_suppressed(t, (px, py, pz), gens)
-                if sup and not suppressed_prev:
-                    events.append({"kind": "beta_suppressed", "t": float(t)})
-                suppressed_prev = sup
+            accepted(t, px, py, pz)
             # the knot itself, not a + n h_step, which can miss b in the last bit
             cur = stage(b if i == n - 1 else t, px, py, pz)
         record(b, (px, py, pz), cur)
 
-    refined = sum(n for _, _, n, fine, _ in plan if fine)
-    base = cfg.resolved_base_step(omega_l)
     meta = {
         "t_start": t0,
         "t_end": t1,
         "omega_l": omega_l,
         "base_step": base,
-        "refined_step": base / cfg.pulse_refinement,
+        "refined_step": finest,
+        "step_tolerance": tol,
         "steps": steps,
-        "steps_base": steps - refined,
-        "steps_refined": refined,
+        "steps_base": steps - refined_steps,
+        "steps_refined": refined_steps,
+        "steps_rejected": rejected,
+        "steps_at_floor": at_floor,
         "rhs_evaluations": evaluations,
         "coefficient_evaluations": drift.coefficient_evaluations,
         "knots": len(plan) + 1,

@@ -48,8 +48,10 @@ A scenario is one YAML document (schema version 1) describing a run:
       temperature: 27.3
       variant: korsch
     integrator:
-      base_step: null
-      pulse_refinement: 50
+      base_step: null             # RK4 step outside pulse supports and the
+                                  # longest step inside; null: T_L/2000
+      pulse_refinement: 50        # finest step inside a pulse support is
+                                  # base_step/pulse_refinement
       validate_every: 100
       positivity_floor: -1.0e-9
     outputs:
@@ -59,6 +61,12 @@ A scenario is one YAML document (schema version 1) describing a run:
 
 Units are fixed: nanoseconds, rad/nsec (GHz), micro-eV, Kelvin.  Unknown
 keys are errors at every level, so typos never silently change a run.
+
+Inside gate, hold and pulse supports the integrator takes error-controlled
+Dormand-Prince 5(4) steps between those two sizes; their tolerance,
+(omega_l base_step)^5/120, is derived from the keys above, not a key of
+its own.  Schema version 1 still holds: the two keys keep their names,
+types and defaults.
 
 A run writes three artifacts into its output directory:
 

@@ -3,7 +3,8 @@
 qubitdyn.engine.integrate steps the polarization with the Bloch-form
 right-hand side generators.bloch_rhs.  This route steps rho itself with
 the density-matrix right-hand side generators.rhs_given_h, through the
-same segment plan (engine.segment_plan), and builds every row with the
+same segment plan (engine.segment_plan) and its own copy of the
+Dormand-Prince tableau and step control, and builds every row with the
 matrix observable_row; beta_suppressed is the density form of the
 integrator's beta-suppression watch.  The two share no right-hand-side code, so their
 agreement sample by sample checks each against the other.
@@ -135,13 +136,72 @@ class DensityRun:
         return self.bloch[-1]
 
 
+# Dormand & Prince, J. Comput. Appl. Math. 6:19 (1980): stage nodes, stage
+# rows, fifth-order weights and embedded fourth-order weights; a copy kept
+# apart from engine.dormand_prince_step
+DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+DP_B_HAT = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def normalized(rho: np.ndarray) -> np.ndarray:
+    """rho re-symmetrized and trace-renormalized."""
+    rho = 0.5 * (rho + adjoint(rho))
+    return rho / (rho[0, 0] + rho[1, 1]).real
+
+
+def dormand_prince_density(stage, t, h, t_new, rho, k1):
+    """One Dormand-Prince 5(4) step of (rho, W, Q) from t to t_new.
+
+    Returns the normalized fifth-order rho, the W and Q increments, the
+    largest |fifth- minus fourth-order increment| over (Px, Py, Pz, W, Q),
+    and the stage at (t_new, rho_new), the next step's first.
+    """
+    ks = [k1]
+    for c, row in zip(DP_C[1:6], DP_A[1:]):
+        t_i = t_new if c == 1.0 else t + c * h
+        ks.append(stage(t_i, rho + h * sum(a * k[0] for a, k in zip(row, ks))))
+    rho_new = normalized(rho + h * sum(b * k[0] for b, k in zip(DP_B, ks)))
+    dw = h * sum(b * k[1] for b, k in zip(DP_B, ks))
+    dq = h * sum(b * k[2] for b, k in zip(DP_B, ks))
+    ks.append(stage(t_new, rho_new))
+    weights = [b - bh for b, bh in zip(DP_B, DP_B_HAT)]
+    e_rho = h * sum(e * k[0] for e, k in zip(weights, ks))
+    e_w = h * sum(e * k[1] for e, k in zip(weights, ks))
+    e_q = h * sum(e * k[2] for e, k in zip(weights, ks))
+    # P = (2 Re rho01, -2 Im rho01, rho00 - rho11)
+    err = max(
+        abs(2.0 * e_rho[0, 1].real),
+        abs(2.0 * e_rho[0, 1].imag),
+        abs((e_rho[0, 0] - e_rho[1, 1]).real),
+        abs(e_w),
+        abs(e_q),
+    )
+    return rho_new, dw, dq, err, ks[-1]
+
+
 def integrate_density(
     gens, rho0, t_span, cfg: IntegratorConfig | None = None, sample_times=None
 ) -> DensityRun:
-    """RK4 on drho/dt over the knots and steps integrate uses."""
+    """drho/dt over the knots integrate uses: RK4 with the plan's n steps on
+    a base segment, and on a refined segment Dormand-Prince 5(4) steps
+    under its own copy of integrate's step control (tolerance
+    (omega_L base)^5/120, steps between base/pulse_refinement and base,
+    growth at most 5, shrink at most 0.2, safety 0.9)."""
     cfg = cfg or IntegratorConfig()
     hspec = gens.hamiltonian
     plan = segment_plan(gens, t_span, cfg, sample_times)
+    base = cfg.resolved_base_step(hspec.omega_l)
+    finest = base / cfg.pulse_refinement
+    tol = (hspec.omega_l * base) ** 5 / 120.0
 
     def stage(t: float, rho: np.ndarray):
         """(drho/dt, power, heat rate, H, dH/dt) at (t, rho)."""
@@ -165,7 +225,28 @@ def integrate_density(
 
     cur = stage(float(t_span[0]), rho)
     record(float(t_span[0]), rho, cur)
-    for a, b, n, _, _ in plan:
+    h_next = base
+    for a, b, n, refined, _ in plan:
+        if refined:
+            t = a
+            grow_max = 5.0
+            while t < b:
+                parts = math.ceil((b - t) / h_next)
+                t_new = b if parts == 1 else t + (b - t) / parts
+                h = t_new - t
+                rho_new, dw, dq, err, k_new = dormand_prince_density(stage, t, h, t_new, rho, cur)
+                if err <= tol or min(h, h_next) <= finest:
+                    rho, cur, t = rho_new, k_new, t_new
+                    work += dw
+                    heat += dq
+                    grow = min(grow_max, 0.9 * (tol / err) ** 0.2) if err > 0.0 else grow_max
+                    h_next = min(base, max(finest, h * grow))
+                    grow_max = 5.0
+                else:
+                    h_next = max(finest, h * max(0.2, 0.9 * (tol / err) ** 0.2))
+                    grow_max = 1.0
+            record(b, rho, cur)
+            continue
         h_step = (b - a) / n
         half = 0.5 * h_step
         t = a
@@ -178,8 +259,7 @@ def integrate_density(
             work += (h_step / 6.0) * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
             heat += (h_step / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
             t = a + (i + 1) * h_step
-            rho = 0.5 * (rho + adjoint(rho))
-            rho = rho / (rho[0, 0] + rho[1, 1]).real
+            rho = normalized(rho)
             cur = stage(b if i == n - 1 else t, rho)
         record(b, rho, cur)
     return DensityRun(

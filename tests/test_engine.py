@@ -9,8 +9,12 @@ import pytest
 
 from density_route import integrate_density
 from qubitdyn.engine import (
+    FAC_MAX,
+    FAC_MIN,
+    SAFETY,
     IntegratorConfig,
     PositivityError,
+    dormand_prince_step,
     fidelity_on_larmor_grid,
     gate_unitary,
     ideal_reference,
@@ -284,8 +288,9 @@ def pulsed_set():
 
 class TestKnotStageReuse:
     """The stage evaluated at a sample knot gives the row and is the next
-    step's first stage, so integrate evaluates the right-hand side
-    4 steps + 1 times, as its own counter reports."""
+    step's first stage, so integrate evaluates the right-hand side 4 times
+    per base step, 6 times per attempted Dormand-Prince step (accepted or
+    rejected) and once at the start, as its own counter reports."""
 
     CFG = IntegratorConfig(base_step=T_LARMOR / 200.0, pulse_refinement=10, samples=40)
 
@@ -293,9 +298,12 @@ class TestKnotStageReuse:
         gens, t_final = pulsed_set()
         traj = integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, t_final), self.CFG)
         meta = traj.meta
-        assert meta["rhs_evaluations"] == 4 * meta["steps"] + 1
+        assert meta["rhs_evaluations"] == (
+            4 * meta["steps_base"] + 6 * (meta["steps_refined"] + meta["steps_rejected"]) + 1
+        )
         assert meta["steps"] == meta["steps_base"] + meta["steps_refined"]
         assert meta["steps_base"] > 0 and meta["steps_refined"] > 0
+        assert meta["steps_rejected"] > 0
         assert len(traj.rows) == meta["knots"]
 
         drift = bloch_rhs(gens)
@@ -324,13 +332,12 @@ class TestKnotStageReuse:
         assert meta["coefficient_evaluations"] == 0
 
     def test_first_law_residual(self):
-        # refinement 25, as the benchmark's reference runs: at this class's 10
-        # the refined step is 0.37 of the measurement hold's 0.031 ns edge
-        # width and RK4's truncation there leaves 8.4e-7 of max |W|, falling
-        # at fourth order (2.5e-8 at 25, 1.5e-9 at 50)
+        # at this class's refinement 10 the finest step is 0.37 of the
+        # measurement hold's 0.031 ns edge width; fixed RK4 steps of that size
+        # left 8.4e-7 of max |W| there, while the error-controlled steps keep
+        # the residual near the tolerance
         gens, t_final = pulsed_set()
-        cfg = IntegratorConfig(base_step=T_LARMOR / 200.0, pulse_refinement=25, samples=40)
-        traj = integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, t_final), cfg)
+        traj = integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, t_final), self.CFG)
         e0 = traj.rows[0].energy
         residual = max(
             abs(row.energy - e0 - w - q) for row, w, q in zip(traj.rows, traj.work, traj.heat)
@@ -339,15 +346,89 @@ class TestKnotStageReuse:
         assert residual <= 1e-7 * float(np.max(np.abs(traj.work)))
 
 
+class TestStepControl:
+    """Dormand-Prince steps inside pulse supports: deterministic, with a
+    derived tolerance, and bounded below by base_step/pulse_refinement."""
+
+    CFG = TestKnotStageReuse.CFG
+
+    def test_step_counts_repeat(self):
+        gens, t_final = pulsed_set()
+        rho0 = bloch_to_density((0.5, 0.0, 0.8))
+        meta = integrate(gens, rho0, (0.0, t_final), self.CFG).meta
+        again = integrate(gens, rho0, (0.0, t_final), self.CFG).meta
+        assert again == meta
+        base = self.CFG.base_step
+        assert meta["refined_step"] == base / self.CFG.pulse_refinement
+        assert meta["step_tolerance"] == (OMEGA_L * base) ** 5 / 120.0
+        assert 0 < meta["steps_at_floor"] <= meta["steps_refined"]
+
+    def test_steps_at_the_floor_are_accepted(self):
+        # pulse_refinement 1 puts the floor at the ceiling: every refined
+        # step is at the floor, so none is rejected, however large its error
+        gens, t_final = pulsed_set()
+        cfg = IntegratorConfig(base_step=T_LARMOR / 200.0, pulse_refinement=1, samples=40)
+        meta = integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, t_final), cfg).meta
+        assert meta["steps_rejected"] == 0
+        assert 0 < meta["steps_at_floor"] <= meta["steps_refined"]
+        assert meta["rhs_evaluations"] == 4 * meta["steps_base"] + 6 * meta["steps_refined"] + 1
+
+    def test_floor_proposal_ends_the_rejections(self):
+        # splitting a segment into equal parts can round a step a few ulps
+        # past a proposal at the floor; counting only h <= floor as a floor
+        # step would reject that step forever, and this run would not end
+        schedule = build_schedule(["not"], n_delay=1, omega_l=OMEGA_L, window=WINDOW)
+        noise = LindbladOp(
+            alpha0=0.1 + 0.2j,
+            alpha=(0.3 - 0.1j, -0.2 + 0.4j, 0.1 + 0.1j),
+            gamma=2.0,
+            envelope=SoftSquarePulse(0.3 * T_LARMOR, 0.4 * T_LARMOR, 0.01 * T_LARMOR),
+        )
+        gens = GeneratorSet(
+            hamiltonian=HamiltonianSpec(omega_l=OMEGA_L, gates=schedule.gates), lindblads=(noise,)
+        )
+        cfg = IntegratorConfig(base_step=T_LARMOR / 100.0, pulse_refinement=5, samples=20)
+        meta = integrate(
+            gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, schedule.t_final), cfg
+        ).meta
+        assert meta["steps_at_floor"] > 0
+
+
 def step_unrestricted(gens, rho0, t_span, cfg, sample_times):
-    """integrate's RK4 loop on the unrestricted drift bloch_rhs(gens), its
-    expressions copied; (P, W, Q) at every knot."""
+    """integrate's stepping on the unrestricted drift bloch_rhs(gens): its
+    RK4 loop and its step control copied, with the same Dormand-Prince
+    step; (P, W, Q) at every knot."""
     drift = bloch_rhs(gens)
+    base = cfg.resolved_base_step(OMEGA_L)
+    finest = base / cfg.pulse_refinement
+    tol = cfg.step_tolerance(OMEGA_L)
     px, py, pz = density_to_bloch(rho0).tolist()
     work = heat = 0.0
     cur = drift(t_span[0], px, py, pz)
     out = [(px, py, pz, work, heat)]
-    for a, b, n, _, _ in segment_plan(gens, t_span, cfg, sample_times):
+    h_next = base
+    for a, b, n, refined, _ in segment_plan(gens, t_span, cfg, sample_times):
+        if refined:
+            t = a
+            grow_max = FAC_MAX
+            while t < b:
+                parts = math.ceil((b - t) / h_next)
+                t_new = b if parts == 1 else t + (b - t) / parts
+                h = t_new - t
+                x, y, z, dw, dq, err, k7 = dormand_prince_step(drift, t, h, t_new, px, py, pz, cur)
+                if err <= tol or min(h, h_next) <= finest:
+                    px, py, pz, t, cur = x, y, z, t_new, k7
+                    work += dw
+                    heat += dq
+                    grow = SAFETY * (tol / err) ** 0.2 if err > 0.0 else grow_max
+                    h_next = min(base, max(finest, h * min(grow_max, grow)))
+                    grow_max = FAC_MAX
+                else:
+                    shrink = SAFETY * (tol / err) ** 0.2 if err < math.inf else FAC_MIN
+                    h_next = max(finest, h * max(FAC_MIN, shrink))
+                    grow_max = 1.0
+            out.append((px, py, pz, work, heat))
+            continue
         h_step = (b - a) / n
         half = 0.5 * h_step
         sixth = h_step / 6.0
