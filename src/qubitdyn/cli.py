@@ -48,8 +48,6 @@ from .scenario import (
 )
 from .spincore import bloch_to_density
 
-log = logging.getLogger("qubitdyn")
-
 ORACLE_TOL = 1e-6
 ORACLE_SAMPLES = 201
 

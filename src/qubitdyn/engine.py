@@ -4,8 +4,8 @@ The state is stepped as its polarization P, three reals, with
 rho = (sigma_0 + P . sigma_vec)/2: generators.bloch_rhs gives every term
 of the master equation as a closed-form drift of P, advanced as Python
 floats.  Trace and Hermiticity hold by construction, so there is no
-re-symmetrise or renormalise step; the density matrices in
-Trajectory.states are built from P at each sample knot.
+re-symmetrise or renormalise step; Trajectory builds the density matrix
+of a sample from its P only when asked for one.
 
 Integration runs on a segment grid.  Segment boundaries are the union of
 the run endpoints, every pulse support edge, and every requested sample
@@ -54,7 +54,8 @@ Health is checked at the start and on every accepted step: a non-finite
 P, or a smallest eigenvalue (1 - |P|)/2 below the positivity floor,
 aborts with PositivityError.  Every validate_every accepted steps the
 state is also watched for a degenerate ascent/bath beta, which is logged
-as an event.
+as an event, and floor steps too coarse for the step control are logged
+as one WARNING on the qubitdyn logger.
 
 The module also carries the independent oracle routes used to pin the
 integrator down in tests: closed-form polarization solutions for the
@@ -75,6 +76,7 @@ multiple of 2 pi of accumulated free phase.
 
 from __future__ import annotations
 
+import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -152,14 +154,23 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled run: observable rows, states, tallies, and event log."""
+    """Sampled run: observable rows, tallies, and event log; a row's density
+    matrix is built from its P on demand, checked against positivity_floor."""
 
     rows: list[ObservableRow]
-    states: list[np.ndarray]
     work: np.ndarray
     heat: np.ndarray
     events: list[dict]
     meta: dict
+    positivity_floor: float
+
+    def state(self, i: int) -> np.ndarray:
+        """Density matrix of row i."""
+        return bloch_to_density(self.rows[i].bloch, self.positivity_floor)
+
+    @property
+    def states(self) -> list[np.ndarray]:
+        return [self.state(i) for i in range(len(self.rows))]
 
     @property
     def times(self) -> np.ndarray:
@@ -171,7 +182,7 @@ class Trajectory:
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self.state(-1)
 
     @property
     def final_bloch(self) -> np.ndarray:
@@ -183,29 +194,6 @@ class Trajectory:
         if i < len(self.rows) and abs(self.rows[i].t - t) <= ROW_TIME_TOL:
             return i
         raise KeyError(f"no sample at t={t!r}")
-
-
-def _build_knots(t0: float, t1: float, spans, sample_times) -> np.ndarray:
-    pts = [t0, t1]
-    for lo, hi in spans:
-        if t0 < lo < t1:
-            pts.append(lo)
-        if t0 < hi < t1:
-            pts.append(hi)
-    for t in np.asarray(sample_times, dtype=float):
-        if t0 <= t <= t1:
-            pts.append(float(t))
-    pts = np.unique(np.array(pts, dtype=float))
-    # collapse near-coincident knots so segment widths stay meaningful
-    merged = [pts[0]]
-    for x in pts[1:]:
-        if x - merged[-1] > 1e-12:
-            merged.append(x)
-        else:
-            merged[-1] = max(merged[-1], x)
-    merged[0] = t0
-    merged[-1] = t1
-    return np.array(merged)
 
 
 # step control of Hairer, Norsett & Wanner, Solving ODEs I, II.4: the next
@@ -301,15 +289,26 @@ def segment_plan(
     t0, t1 = float(t_span[0]), float(t_span[1])
     omega_l = gens.hamiltonian.omega_l
     base = cfg.resolved_base_step(omega_l)
-    extra = [] if sample_times is None else list(np.asarray(sample_times, float))
-    if cfg.samples and cfg.samples > 1:
-        extra.extend(np.linspace(t0, t1, cfg.samples))
-    if cfg.include_larmor_grid:
-        extra.extend(larmor_grid_times(t1, omega_l, gens.hamiltonian.gates, t_start=t0))
     spans = part_supports(gens)
-    knots = _build_knots(t0, t1, spans, extra)
+    pts = [[t0, t1], [x for span in spans for x in span]]
+    if sample_times is not None:
+        pts.append(np.asarray(sample_times, float))
+    if cfg.samples and cfg.samples > 1:
+        pts.append(np.linspace(t0, t1, cfg.samples))
+    if cfg.include_larmor_grid:
+        pts.append(larmor_grid_times(t1, omega_l, gens.hamiltonian.gates, t_start=t0))
+    pts = np.concatenate(pts)
+    pts = np.unique(pts[(t0 <= pts) & (pts <= t1)]).tolist()
+    # collapse near-coincident knots so segment widths stay meaningful
+    knots = pts[:1]
+    for x in pts[1:]:
+        if x - knots[-1] > 1e-12:
+            knots.append(x)
+        else:
+            knots[-1] = max(knots[-1], x)
+    knots[0], knots[-1] = t0, t1
     plan = []
-    for a, b in zip(knots[:-1].tolist(), knots[1:].tolist()):
+    for a, b in zip(knots[:-1], knots[1:]):
         mid = 0.5 * (a + b)
         lo_w, hi_w = a - ROW_TIME_TOL, b + ROW_TIME_TOL
         active = tuple(i for i, (lo, hi) in enumerate(spans) if lo <= hi_w and hi >= lo_w)
@@ -372,7 +371,6 @@ def integrate(
     watch_beta = gens.beretta is not None or gens.bath is not None
 
     rows: list[ObservableRow] = []
-    states: list[np.ndarray] = []
     work_samples: list[float] = []
     heat_samples: list[float] = []
     first_law_residual = 0.0
@@ -383,8 +381,6 @@ def integrate(
         dx, dy, dz, _, _, hterms = knot_stage
         row = bloch_row(t, p, (dx, dy, dz), hterms, omega_l)
         rows.append(row)
-        # every recorded P has passed the health check against this floor
-        states.append(bloch_to_density(p, floor))
         work_samples.append(work)
         heat_samples.append(heat)
         residual = abs(row.energy - rows[0].energy - work - heat)
@@ -413,6 +409,7 @@ def integrate(
     # the controller's proposed step, carried from one refined segment to the next
     h_next = base
     refined_steps = rejected = at_floor = 0
+    worst_floor_err = 0.0
     cur = drifts[plan[0][4]](t0, px, py, pz)
     evaluations = 1
     record(t0, (px, py, pz), cur)
@@ -434,6 +431,7 @@ def integrate(
                 if err <= tol or min(h, h_next) <= finest:
                     if not err <= tol:
                         at_floor += 1
+                        worst_floor_err = max(worst_floor_err, err)
                     px, py, pz, t, cur = x, y, z, t_new, k7
                     work += dw
                     heat += dq
@@ -477,6 +475,12 @@ def integrate(
             cur = stage(b if i == n - 1 else t, px, py, pz)
         record(b, (px, py, pz), cur)
 
+    # past this error the controller would cut a step by more than FAC_MIN
+    if worst_floor_err > tol * (SAFETY / FAC_MIN) ** 5:
+        logging.getLogger("qubitdyn").warning(
+            "%d steps accepted at the floor %.6g ns with an error above the tolerance, "
+            "up to %.3g times it; raise pulse_refinement", at_floor, finest, worst_floor_err / tol
+        )
     meta = {
         "t_start": t0,
         "t_end": t1,
@@ -497,11 +501,12 @@ def integrate(
     }
     return Trajectory(
         rows=rows,
-        states=states,
         work=np.array(work_samples),
         heat=np.array(heat_samples),
         events=events,
         meta=meta,
+        # every recorded P has passed the health check against this floor
+        positivity_floor=floor,
     )
 
 
@@ -680,25 +685,19 @@ def larmor_grid_times(
     return np.array(times)
 
 
-def fidelity_on_larmor_grid(
-    traj: Trajectory, gates=(), rho0: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def fidelity_on_larmor_grid(traj: Trajectory, gates=()) -> tuple[np.ndarray, np.ndarray]:
     """Score a run against its ideal gate sequence on the Larmor grid.
 
     Returns (times, fidelities); each fidelity compares the sampled
     state with the ideal reference (completed gate unitaries applied to
-    the initial state).
+    the initial state).  Only the grid rows' density matrices are built.
     """
-    if rho0 is None:
-        rho0 = traj.states[0]
+    rho0 = traj.state(0)
     t_final = traj.rows[-1].t
     t_start = traj.rows[0].t
-    omega_l = traj.meta.get("omega_l")
-    if omega_l is None:
-        raise ValueError("trajectory meta lacks omega_l; pass it through integrate")
-    grid = larmor_grid_times(t_final, omega_l, gates, t_start=t_start)
+    grid = larmor_grid_times(t_final, traj.meta["omega_l"], gates, t_start=t_start)
     fids = []
     for t in grid:
         i = traj.row_index(t)
-        fids.append(fidelity(traj.states[i], ideal_reference(rho0, gates, t)))
+        fids.append(fidelity(traj.state(i), ideal_reference(rho0, gates, t)))
     return grid, np.array(fids)

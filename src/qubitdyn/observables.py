@@ -103,8 +103,8 @@ def temperature_rate_ratio(bloch, bloch_dot, omega_l: float) -> float:
     T = (hbar omega_L / kB) (dP_z/dt) / (d|P|/dt) / ln((1+P)/(1-P)).
     Returns nan when |P| is 0 or 1 or when |P| is momentarily stationary.
     """
-    px, py, pz = (float(v) for v in bloch)
-    dx, dy, dz = (float(v) for v in bloch_dot)
+    px, py, pz = bloch
+    dx, dy, dz = bloch_dot
     p = math.sqrt(px * px + py * py + pz * pz)
     if p <= 0.0 or p >= 1.0:
         return math.nan
@@ -112,7 +112,7 @@ def temperature_rate_ratio(bloch, bloch_dot, omega_l: float) -> float:
     if p_rate == 0.0:
         return math.nan
     # ln((1+P)/(1-P)) as 2 artanh(P), which stays nonzero for P down to the smallest float
-    return (HBAR * omega_l / KBOLTZ) * (dz / p_rate) / (2.0 * math.atanh(p))
+    return float((HBAR * omega_l / KBOLTZ) * (dz / p_rate) / (2.0 * math.atanh(p)))
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def observable_row(
         power=power(rho, h_dot),
         heat_rate=heat_rate(h, rho_dot),
         temp_occupation=temperature_occupation(rho, h),
-        temp_rate_ratio=temperature_rate_ratio(bloch, bloch_dot, omega_l),
+        temp_rate_ratio=temperature_rate_ratio(bloch.tolist(), bloch_dot.tolist(), omega_l),
     )
 
 

@@ -745,7 +745,8 @@ def write_timeseries(traj, path) -> None:
             r.temp_occupation,
             r.temp_rate_ratio,
         )
-        lines.append(",".join(repr(float(v)) for v in values))
+        # float's own repr: numpy 2's repr of a float64 names its type
+        lines.append(",".join(map(float.__repr__, values)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -1025,13 +1026,15 @@ def svg_line_chart(path, title: str, x, series, y_label: str = "") -> None:
             f'font-family="sans-serif" transform="rotate(-90 18 {_fmt(top + plot_h / 2)})">'
             f"{y_label}</text>"
         )
+    # sx and sy act elementwise on arrays, with the same roundings as on floats
+    x_pix = sx(x).tolist()
     for i, (label, ys) in enumerate(series):
         ys = np.asarray(ys, dtype=float)
         color = SVG_PALETTE[i % len(SVG_PALETTE)]
         points = [
-            f"{_fmt(sx(xv))},{_fmt(sy(yv))}"
-            for xv, yv in zip(x, ys)
-            if math.isfinite(float(yv))
+            f"{xp:.6g},{yp:.6g}"
+            for xp, yp, finite in zip(x_pix, sy(ys).tolist(), np.isfinite(ys).tolist())
+            if finite
         ]
         if points:
             parts.append(

@@ -1,8 +1,9 @@
 """Integration engine: accuracy, gates, analytic oracles, measurement."""
 
+import logging
 import math
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -373,6 +374,22 @@ class TestStepControl:
         assert 0 < meta["steps_at_floor"] <= meta["steps_refined"]
         assert meta["rhs_evaluations"] == 4 * meta["steps_base"] + 6 * meta["steps_refined"] + 1
 
+    def test_unresolved_floor_steps_warn(self, caplog):
+        # at refinement 1 the floor steps' errors reach 1.8e6 times the
+        # tolerance; at the class's refinement 10 they stay below 120 times it
+        gens, t_final = pulsed_set()
+        rho0 = bloch_to_density((0.5, 0.0, 0.8))
+        with caplog.at_level(logging.WARNING, logger="qubitdyn"):
+            coarse = integrate(gens, rho0, (0.0, t_final), replace(self.CFG, pulse_refinement=1))
+        records = [r for r in caplog.records if r.name == "qubitdyn"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert f"{coarse.meta['steps_at_floor']} steps accepted at the floor" in records[0].message
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="qubitdyn"):
+            meta = integrate(gens, rho0, (0.0, t_final), self.CFG).meta
+        assert meta["steps_at_floor"] > 0
+        assert caplog.records == []
+
     def test_floor_proposal_ends_the_rejections(self):
         # splitting a segment into equal parts can round a step a few ulps
         # past a proposal at the floor; counting only h <= floor as a floor
@@ -392,6 +409,32 @@ class TestStepControl:
             gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, schedule.t_final), cfg
         ).meta
         assert meta["steps_at_floor"] > 0
+
+
+class TestTrajectoryStates:
+    """A trajectory keeps P in its rows and builds density matrices on demand."""
+
+    def test_states_built_from_rows(self):
+        gens, t_final = pulsed_set()
+        rho0 = bloch_to_density((0.5, 0.0, 0.8))
+        traj = integrate(gens, rho0, (0.0, t_final), TestKnotStageReuse.CFG)
+        states = traj.states
+        assert len(states) == len(traj.rows)
+        for i, row in enumerate(traj.rows):
+            np.testing.assert_array_equal(states[i], bloch_to_density(row.bloch))
+            np.testing.assert_array_equal(traj.state(i), states[i])
+        np.testing.assert_array_equal(traj.final_state, states[-1])
+
+    def test_state_checked_against_the_run_floor(self):
+        cfg = IntegratorConfig(samples=3, positivity_floor=-1e-6)
+        traj = integrate(GENS_FREE, bloch_to_density((0.0, 0.0, 1.0)), (0.0, 1.0), cfg)
+        assert traj.positivity_floor == -1e-6
+        # (1 - |P|)/2 = -5e-7 passes this run's floor, not bloch_to_density's default
+        traj.rows[-1] = replace(traj.rows[-1], bloch=(0.0, 0.0, 1.0 + 1e-6))
+        assert traj.final_state[1, 1].real < 0.0
+        traj.rows[-1] = replace(traj.rows[-1], bloch=(0.0, 0.0, 1.0 + 3e-6))
+        with pytest.raises(ValueError, match="exceeds 1"):
+            traj.final_state
 
 
 def step_unrestricted(gens, rho0, t_span, cfg, sample_times):
