@@ -52,10 +52,11 @@ the state, using the stage rates Tr[rho dH/dt] (power) and Tr[H drho/dt]
 
 Health is checked at the start and on every accepted step: a non-finite
 P, or a smallest eigenvalue (1 - |P|)/2 below the positivity floor,
-aborts with PositivityError.  Every validate_every accepted steps the
-state is also watched for a degenerate ascent/bath beta, which is logged
-as an event, and floor steps too coarse for the step control are logged
-as one WARNING on the qubitdyn logger.
+aborts with PositivityError.  When a Beretta term or Beretta-variant
+bath is present, every validate_every accepted steps the state is also
+watched for a degenerate beta, which is logged as an event.  Floor
+steps too coarse for the step control are logged as one WARNING on the
+qubitdyn logger.
 
 The module also carries the independent oracle routes used to pin the
 integrator down in tests: closed-form polarization solutions for the
@@ -368,7 +369,10 @@ def integrate(
         raise PositivityError(t0, min_eig_seen)
     events: list[dict] = []
     suppressed_prev = False
-    watch_beta = gens.beretta is not None or gens.bath is not None
+    # a korsch beta_3 = 1/kT is never nan, so only a Beretta term or bath can suppress
+    watch_beta = gens.beretta is not None or (
+        gens.bath is not None and gens.bath.variant == "beretta"
+    )
 
     rows: list[ObservableRow] = []
     work_samples: list[float] = []
@@ -601,11 +605,11 @@ def measure(
     precession (gamma < 20 omega_L) and when the parallel component
     drifts by more than 5e-3.
     """
-    window = MeasurementWindow.for_rate(t1, gamma, direction)
+    window = MeasurementWindow(t1, gamma, direction)
     lo, hi = window.support()
     gens = GeneratorSet(
         hamiltonian=HamiltonianSpec(omega_l=omega_l, bias_holds=(window.hold(),)),
-        lindblads=(measurement_op(window, gamma),),
+        lindblads=(measurement_op(window),),
     )
     traj = integrate(gens, rho_in, (lo, hi), cfg)
     m = np.asarray(window.direction, dtype=float)

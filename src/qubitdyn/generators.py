@@ -676,13 +676,14 @@ def steady_op(kind: str, gamma: float) -> LindbladOp:
     return LindbladOp(alpha0=0.0j, alpha=alpha, gamma=gamma, label=f"steady-{kind}")
 
 
-def measurement_op(window, gamma: float) -> LindbladOp:
-    """Pulsed measurement operator (sigma . m) theta_M(t) along the window direction."""
+def measurement_op(window) -> LindbladOp:
+    """Pulsed measurement operator (sigma . m) theta_M(t) along the window
+    direction, at the window's rate."""
     d = window.direction
     return LindbladOp(
         alpha0=0.0j,
         alpha=(complex(d[0]), complex(d[1]), complex(d[2])),
-        gamma=gamma,
+        gamma=window.gamma,
         envelope=window.envelope(),
         label="measurement",
     )

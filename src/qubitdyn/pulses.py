@@ -12,9 +12,9 @@ derivative used in the work/power bookkeeping is analytic.  Shapes:
   the gate acts), a measurement window's envelope and hold, and the noise
   pulses are all instances of it.
 * Smooth step           (1 + erf(t/a))/2 for slow axis reorientation.
-* Measurement window    soft square of width pi/Gamma with edge width one
-  percent of the width, plus the soft-square hold that keeps precession
-  off while it acts.
+* Measurement window    MeasurementWindow(t1, gamma, direction): a soft
+  square of width pi/Gamma with edge width one percent of the width, plus
+  the soft-square hold that keeps precession off while it acts.
 
 A pulse's support is the interval outside which it is numerically zero
 (8 widths past the edges, below 1e-27 of peak); integrators refine their
@@ -135,28 +135,31 @@ class SmoothStep:
 
 @dataclass(frozen=True)
 class MeasurementWindow:
-    """Soft measurement window; width pi/Gamma attenuates transverse
-    polarization by e^(-2 pi)."""
+    """Soft measurement window opening at t1 for measurement rate gamma:
+    width t2 - t1 = pi/gamma attenuates transverse polarization by
+    e^(-2 pi), and its edges are r = one percent of that wide.  direction
+    is stored normalized."""
 
     t1: float
-    t2: float
-    r: float
+    gamma: float
     direction: tuple[float, float, float]
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        if d.shape != (3,) or not math.isclose(float(np.linalg.norm(d)), 1.0, abs_tol=1e-9):
-            raise ValueError("measurement direction must be a unit 3-vector")
-
-    @classmethod
-    def for_rate(cls, t1: float, gamma: float, direction) -> "MeasurementWindow":
-        """Window sized by the measurement rate: t2 - t1 = pi/Gamma, edges 1% of that."""
-        if gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError("measurement rate must be positive")
-        tau_m = math.pi / gamma
-        d = np.asarray(direction, dtype=float)
-        d = d / float(np.linalg.norm(d))
-        return cls(t1=t1, t2=t1 + tau_m, r=tau_m / 100.0, direction=(d[0], d[1], d[2]))
+        d = np.asarray(self.direction, dtype=float)
+        norm = float(np.linalg.norm(d)) if d.shape == (3,) else 0.0
+        if not 0.0 < norm < math.inf:
+            raise ValueError("measurement direction must be a finite non-zero 3-vector")
+        object.__setattr__(self, "direction", tuple((d / norm).tolist()))
+
+    @property
+    def t2(self) -> float:
+        return self.t1 + math.pi / self.gamma
+
+    @property
+    def r(self) -> float:
+        return math.pi / self.gamma / 100.0
 
     def envelope(self) -> SoftSquarePulse:
         return SoftSquarePulse(self.t1, self.t2, self.r)

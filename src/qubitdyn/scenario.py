@@ -40,7 +40,7 @@ A scenario is one YAML document (schema version 1) describing a run:
     measurements:
       - t1: 120.0
         direction: [1.0, 0.0, 1.0]
-        gamma: 26.752
+        gamma: 26.752             # rate; the window is [t1, t1 + pi/gamma]
     beretta:
       gamma2: 0.002675
     bath:
@@ -74,7 +74,9 @@ A run writes three artifacts into its output directory:
                      shortest round-trip decimals
     events.json      pulse boundaries, measurement markers, integrator
                      events, and Larmor-grid fidelity rows, sorted
-    manifest.json    seed, RNG algorithm name, drawn noise coefficients,
+    manifest.json    seed, RNG algorithm name, the scenario echo
+                     (resolved_echo: every effective value, defaults and
+                     derived times included), drawn noise coefficients,
                      resolved schedule times, artifact hashes, versions,
                      wall time
 
@@ -91,7 +93,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -153,15 +155,10 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class OutputSpec:
-    samples: int = 500
-    grid_report: bool = True
-    svg: bool = False
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Fully validated run description with defaults resolved."""
+    """Fully validated run description with defaults resolved.  Each value
+    is stored once: outputs.samples and outputs.grid_report live in
+    integrator, a measurement's rate on its window."""
 
     name: str
     seed: int
@@ -173,12 +170,10 @@ class Scenario:
     lindblads: tuple[LindbladOp, ...]
     noise: NoiseSpec | None
     measurements: tuple[MeasurementWindow, ...]
-    measurement_gammas: tuple[float, ...]
     beretta: BerettaSpec | None
     bath: BathSpec | None
     integrator: IntegratorConfig
-    outputs: OutputSpec
-    resolved: dict
+    svg: bool
 
 
 def _as_dict(value, path: str) -> dict:
@@ -449,7 +444,6 @@ def scenario_from_dict(data, default_name: str = "scenario") -> Scenario:
         )
 
     measurements = []
-    measurement_gammas = []
     if data.get("measurements") is not None:
         entries = data["measurements"]
         if not isinstance(entries, list):
@@ -463,15 +457,18 @@ def scenario_from_dict(data, default_name: str = "scenario") -> Scenario:
             direction = _vector3(m["direction"], f"measurements[{i}].direction")
             if math.sqrt(sum(v * v for v in direction)) <= 0.0:
                 raise ScenarioError(f"measurements[{i}].direction: must be non-zero")
-            window = MeasurementWindow.for_rate(
-                t1=_number(m, f"measurements[{i}]", "t1"), gamma=gamma, direction=direction
-            )
+            try:
+                window = MeasurementWindow(
+                    t1=_number(m, f"measurements[{i}]", "t1"), gamma=gamma, direction=direction
+                )
+            except ValueError as e:
+                # what the checks above let through: a nan rate, a non-finite direction
+                raise ScenarioError(f"measurements[{i}]: {e}") from e
             if window.t2 > t_final:
                 raise ScenarioError(
                     f"measurements[{i}]: window ends at {window.t2:.6f}, past t_final"
                 )
             measurements.append(window)
-            measurement_gammas.append(gamma)
 
     beretta = None
     if data.get("beretta") is not None:
@@ -514,23 +511,28 @@ def scenario_from_dict(data, default_name: str = "scenario") -> Scenario:
 
     out = _as_dict(data.get("outputs") or {}, "outputs")
     _check_keys(out, "outputs", (), ("samples", "grid_report", "svg"))
-    outputs = OutputSpec(
-        samples=_integer(out, "outputs", "samples", default=500, minimum=2),
-        grid_report=_boolean(out, "outputs", "grid_report", True),
-        svg=_boolean(out, "outputs", "svg", False),
-    )
+    samples = _integer(out, "outputs", "samples", default=500, minimum=2)
+    grid_report = _boolean(out, "outputs", "grid_report", True)
+    svg = _boolean(out, "outputs", "svg", False)
 
     integrator = IntegratorConfig(
         base_step=base_step,
         pulse_refinement=_integer(integ, "integrator", "pulse_refinement", default=50, minimum=1),
         validate_every=_integer(integ, "integrator", "validate_every", default=100, minimum=1),
         positivity_floor=_number(integ, "integrator", "positivity_floor", default=-1e-9),
-        samples=outputs.samples,
-        include_larmor_grid=outputs.grid_report,
+        samples=samples,
+        include_larmor_grid=grid_report,
     )
     _check_step_stability(omega_l, lindblads, integrator.resolved_base_step(omega_l))
+    # the run checks rho(0) against its own floor, not only the |P| <= 1 + 1e-9 above
+    lam0 = 0.5 * (1.0 - norm)
+    if not lam0 >= integrator.positivity_floor:
+        raise ScenarioError(
+            f"initial.bloch: smallest eigenvalue (1 - |P|)/2 = {lam0:.3e} is below "
+            f"integrator.positivity_floor = {integrator.positivity_floor:.3e}"
+        )
 
-    scenario = Scenario(
+    return Scenario(
         name=name,
         seed=seed,
         omega_l=omega_l,
@@ -541,14 +543,11 @@ def scenario_from_dict(data, default_name: str = "scenario") -> Scenario:
         lindblads=tuple(lindblads),
         noise=noise,
         measurements=tuple(measurements),
-        measurement_gammas=tuple(measurement_gammas),
         beretta=beretta,
         bath=bath,
         integrator=integrator,
-        outputs=outputs,
-        resolved={},
+        svg=svg,
     )
-    return replace(scenario, resolved=_resolved_echo(scenario))
 
 
 def _check_step_stability(omega_l: float, ops, base_step: float) -> None:
@@ -578,8 +577,9 @@ def _check_step_stability(omega_l: float, ops, base_step: float) -> None:
         )
 
 
-def _resolved_echo(s: Scenario) -> dict:
-    """Plain-data echo of every effective value, defaults included."""
+def resolved_echo(s: Scenario) -> dict:
+    """Plain-data echo of every effective value, defaults and derived
+    values included, keyed by the schema."""
     echo = {
         "schema_version": SCHEMA_VERSION,
         "name": s.name,
@@ -594,9 +594,9 @@ def _resolved_echo(s: Scenario) -> dict:
             "positivity_floor": s.integrator.positivity_floor,
         },
         "outputs": {
-            "samples": s.outputs.samples,
-            "grid_report": s.outputs.grid_report,
-            "svg": s.outputs.svg,
+            "samples": s.integrator.samples,
+            "grid_report": s.integrator.include_larmor_grid,
+            "svg": s.svg,
         },
     }
     if s.axis_rotation is not None:
@@ -626,34 +626,15 @@ def _resolved_echo(s: Scenario) -> dict:
             }
             for op in s.lindblads
         ]
-    if s.noise is not None:
-        echo["noise"] = {
-            "count": s.noise.count,
-            "start": s.noise.start,
-            "end": s.noise.end,
-            "width": s.noise.width,
-            "edge_tau": s.noise.edge_tau,
-            "gamma": s.noise.gamma,
-            "coincide_gate": s.noise.coincide_gate,
-        }
     if s.measurements:
         echo["measurements"] = [
-            {
-                "t1": w.t1,
-                "t2": w.t2,
-                "direction": list(w.direction),
-                "gamma": g,
-            }
-            for w, g in zip(s.measurements, s.measurement_gammas)
+            {"t1": w.t1, "t2": w.t2, "direction": list(w.direction), "gamma": w.gamma}
+            for w in s.measurements
         ]
-    if s.beretta is not None:
-        echo["beretta"] = {"gamma2": s.beretta.gamma2}
-    if s.bath is not None:
-        echo["bath"] = {
-            "gamma3": s.bath.gamma3,
-            "temperature": s.bath.temperature,
-            "variant": s.bath.variant,
-        }
+    # these sections' field names are their schema keys
+    for key in ("noise", "beretta", "bath"):
+        if getattr(s, key) is not None:
+            echo[key] = asdict(getattr(s, key))
     return echo
 
 
@@ -706,8 +687,7 @@ def draw_noise_pulses(scenario: Scenario, rng: np.random.Generator) -> list[Lind
 def build_generators(scenario: Scenario, noise_ops=()) -> GeneratorSet:
     """Assemble the full right-hand side for a scenario run."""
     ops = list(scenario.lindblads) + list(noise_ops)
-    for window, gamma in zip(scenario.measurements, scenario.measurement_gammas):
-        ops.append(measurement_op(window, gamma))
+    ops += [measurement_op(window) for window in scenario.measurements]
     return GeneratorSet(
         hamiltonian=HamiltonianSpec(
             omega_l=scenario.omega_l,
@@ -805,14 +785,14 @@ def assemble_events(scenario: Scenario, traj: Trajectory, noise_ops) -> list[dic
                 "gamma": op.gamma,
             }
         )
-    for window, gamma in zip(scenario.measurements, scenario.measurement_gammas):
+    for window in scenario.measurements:
         marker = {
             "kind": "measurement",
             "t": window.t1,
             "t1": window.t1,
             "t2": window.t2,
             "direction": list(window.direction),
-            "gamma": gamma,
+            "gamma": window.gamma,
         }
         lo, hi = window.support()
         try:
@@ -825,11 +805,11 @@ def assemble_events(scenario: Scenario, traj: Trajectory, noise_ops) -> list[dic
             marker["parallel_drift"] = drift
         except KeyError:
             pass
-        if gamma < WEAK_MEASUREMENT_RATIO * scenario.omega_l:
+        if window.gamma < WEAK_MEASUREMENT_RATIO * scenario.omega_l:
             marker["weak_rate_warning"] = True
         events.append(marker)
     events.extend(dict(e) for e in traj.events)
-    if scenario.outputs.grid_report:
+    if scenario.integrator.include_larmor_grid:
         grid, fids = fidelity_on_larmor_grid(traj, scenario.schedule.gates)
         for t, f in zip(grid, fids):
             i = traj.row_index(float(t))
@@ -883,13 +863,14 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> RunRes
         json.dumps(events_doc, indent=2, sort_keys=True, default=_json_default) + "\n"
     )
 
-    scenario_blob = json.dumps(scenario.resolved, sort_keys=True, separators=(",", ":"))
+    echo = resolved_echo(scenario)
+    scenario_blob = json.dumps(echo, sort_keys=True, separators=(",", ":"))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "library_version": LIBRARY_VERSION,
         "rng_algorithm": RNG_ALGORITHM,
         "seed": effective_seed,
-        "scenario": scenario.resolved,
+        "scenario": echo,
         "scenario_sha256": hashlib.sha256(scenario_blob.encode()).hexdigest(),
         "noise": {
             "starts": noise_pulse_starts(scenario),
@@ -930,7 +911,7 @@ def run_scenario(scenario: Scenario, out_dir, seed: int | None = None) -> RunRes
         json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n"
     )
 
-    if scenario.outputs.svg:
+    if scenario.svg:
         bloch = traj.bloch
         svg_line_chart(
             out_dir / "bloch.svg",

@@ -67,6 +67,20 @@ class TestValidate:
         assert "largest stable base_step" in capsys.readouterr().err
 
 
+    def test_initial_state_below_own_floor_exits_2(self, tmp_path, capsys):
+        # |P0| - 1 = 5e-10 passes the 1 + 1e-9 bound but not a -1e-12 floor,
+        # which the run would reject at t = 0
+        data = precession_config()
+        data["initial"]["bloch"] = [0.0, 0.0, 1.0000000005]
+        path = write_yaml(tmp_path / "floor.yaml", data)
+        assert main(["validate", path]) == 0
+        data["integrator"] = {"positivity_floor": -1e-12}
+        path = write_yaml(tmp_path / "floor.yaml", data)
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert "initial.bloch" in err and "integrator.positivity_floor" in err
+
+
 class TestImport:
     def test_cli_import_loads_no_scipy(self):
         code = (

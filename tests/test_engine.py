@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from density_route import integrate_density
+from qubitdyn import engine as engine_module
 from qubitdyn.engine import (
     FAC_MAX,
     FAC_MIN,
@@ -270,7 +271,7 @@ def pulsed_set():
     """One gate, a measurement window (hold and envelope), a steady op, a
     noise pulse and a korsch bath: the set TestKnotStageReuse runs."""
     schedule = build_schedule(["not"], n_delay=1, omega_l=OMEGA_L, window=WINDOW)
-    window = MeasurementWindow.for_rate(0.4 * T_LARMOR, 1.0, (1.0, 0.0, 0.0))
+    window = MeasurementWindow(0.4 * T_LARMOR, 1.0, (1.0, 0.0, 0.0))
     noise = LindbladOp(
         alpha0=0.1 + 0.2j,
         alpha=(0.3 - 0.1j, -0.2 + 0.4j, 0.1 + 0.1j),
@@ -281,7 +282,7 @@ def pulsed_set():
         hamiltonian=HamiltonianSpec(
             omega_l=OMEGA_L, gates=schedule.gates, bias_holds=(window.hold(),)
         ),
-        lindblads=(steady_op("sz", 0.00213), measurement_op(window, 1.0), noise),
+        lindblads=(steady_op("sz", 0.00213), measurement_op(window), noise),
         bath=BathSpec(gamma3=0.0013375, temperature=27.3, variant="korsch"),
     )
     return gens, schedule.t_final
@@ -506,7 +507,7 @@ class TestSegmentDrift:
     def generator_set(self, beretta, bath):
         schedule = build_schedule(["not", "hadamard"], n_delay=1, omega_l=OMEGA_L, window=WINDOW)
         t_final = schedule.t_final
-        window = MeasurementWindow.for_rate(0.3 * t_final, 1.0, (0.0, 1.0, 0.0))
+        window = MeasurementWindow(0.3 * t_final, 1.0, (0.0, 1.0, 0.0))
         rotation = AxisRotation(
             SmoothStep(0.6 * t_final, 0.2), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)
         )
@@ -523,7 +524,7 @@ class TestSegmentDrift:
                 axis_rotation=rotation,
                 bias_holds=(window.hold(),),
             ),
-            lindblads=(steady_op("s-", 0.00213), measurement_op(window, 1.0), noise),
+            lindblads=(steady_op("s-", 0.00213), measurement_op(window), noise),
             beretta=beretta,
             bath=bath,
         )
@@ -549,6 +550,51 @@ class TestSegmentDrift:
         expected = step_unrestricted(gens, rho0, (0.0, t_final), cfg, extra)
         got = [(*row.bloch, w, q) for row, w, q in zip(traj.rows, traj.work, traj.heat)]
         assert got == expected
+
+
+
+class TestBetaWatch:
+    """integrate watches for a suppressed beta only where one can occur: a
+    korsch beta_3 = 1/kT is never nan, a Beretta term or bath can be."""
+
+    KORSCH = BathSpec(gamma3=0.0013375, temperature=27.3, variant="korsch")
+    CFG = IntegratorConfig(samples=10, validate_every=1)
+
+    def run(self, beretta, bath):
+        gens = GeneratorSet(
+            hamiltonian=HamiltonianSpec(omega_l=OMEGA_L), beretta=beretta, bath=bath
+        )
+        return integrate(gens, bloch_to_density((0.5, 0.0, 0.8)), (0.0, 0.2 * T_LARMOR), self.CFG)
+
+    def test_korsch_bath_alone_not_watched(self, monkeypatch):
+        def called(*args):
+            raise AssertionError("bloch_beta_suppressed called on a korsch-only bath")
+
+        monkeypatch.setattr(engine_module, "bloch_beta_suppressed", called)
+        traj = self.run(None, self.KORSCH)
+        assert traj.meta["steps_base"] > 0
+        assert traj.events == []
+
+    @pytest.mark.parametrize(
+        "beretta, bath",
+        [
+            (BerettaSpec(0.004), None),
+            (BerettaSpec(0.004), KORSCH),
+            (None, BathSpec(gamma3=0.0013375, temperature=27.3, variant="beretta")),
+        ],
+    )
+    def test_beretta_terms_watched(self, monkeypatch, beretta, bath):
+        calls = []
+        original = engine_module.bloch_beta_suppressed
+
+        def counted(t, p, gens):
+            calls.append(t)
+            return original(t, p, gens)
+
+        monkeypatch.setattr(engine_module, "bloch_beta_suppressed", counted)
+        traj = self.run(beretta, bath)
+        # validate_every 1: once per accepted step
+        assert len(calls) == traj.meta["steps_base"] + traj.meta["steps_refined"]
 
 
 class TestMeasurement:

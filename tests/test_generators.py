@@ -553,10 +553,10 @@ class TestAssembledRhs:
 
     def test_envelope_gates_dissipator(self):
         # a measurement operator only acts inside its window
-        window = MeasurementWindow.for_rate(100.0, 0.2, (0.0, 0.0, 1.0))
+        window = MeasurementWindow(100.0, 0.2, (0.0, 0.0, 1.0))
         gens = GeneratorSet(
             hamiltonian=HamiltonianSpec(omega_l=OMEGA_L),
-            lindblads=(measurement_op(window, 0.2),),
+            lindblads=(measurement_op(window),),
         )
         rho = bloch_to_density((0.5, 0.0, 0.5))
         before = rhs(window.t1 - 5.0, rho, gens)

@@ -160,19 +160,27 @@ class TestCheckNormalization:
 class TestMeasurementWindow:
     def test_for_rate_geometry(self):
         gamma = 0.1
-        w = MeasurementWindow.for_rate(50.0, gamma, (1.0, 0.0, 0.0))
+        w = MeasurementWindow(50.0, gamma, (1.0, 0.0, 0.0))
         tau_m = math.pi / gamma
         assert w.t2 - w.t1 == pytest.approx(tau_m, rel=1e-12)
         assert w.r == pytest.approx(tau_m / 100.0, rel=1e-12)
         assert np.linalg.norm(w.direction) == pytest.approx(1.0, abs=1e-12)
 
     def test_direction_normalized(self):
-        w = MeasurementWindow.for_rate(0.0, 0.5, (1.0, 0.0, 1.0))
+        w = MeasurementWindow(0.0, 0.5, (1.0, 0.0, 1.0))
         assert np.linalg.norm(w.direction) == pytest.approx(1.0, abs=1e-12)
         assert w.direction[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
+    def test_rate_and_direction_checked(self):
+        for gamma in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="rate"):
+                MeasurementWindow(0.0, gamma, (1.0, 0.0, 0.0))
+        for direction in ((0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="direction"):
+                MeasurementWindow(0.0, 0.5, direction)
+
     def test_envelope_plateau(self):
-        w = MeasurementWindow.for_rate(10.0, 0.2, (0.0, 0.0, 1.0))
+        w = MeasurementWindow(10.0, 0.2, (0.0, 0.0, 1.0))
         env = w.envelope()
         mid = 0.5 * (w.t1 + w.t2)
         assert env.value(mid) == pytest.approx(1.0, abs=1e-9)

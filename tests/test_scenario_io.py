@@ -11,6 +11,7 @@ import yaml
 
 from qubitdyn.engine import integrate, measure
 from qubitdyn.generators import hamiltonian_dot
+from qubitdyn import scenario as scenario_module
 from qubitdyn.observables import ObservableRow
 from qubitdyn.scenario import (
     CSV_HEADER,
@@ -26,6 +27,7 @@ from qubitdyn.scenario import (
     load_scenario,
     noise_pulse_starts,
     read_timeseries,
+    resolved_echo,
     run_scenario,
     scenario_from_dict,
     svg_line_chart,
@@ -110,6 +112,14 @@ class TestValidation:
         del data["time"]
         sc = scenario_from_dict(data)
         assert sc.t_final == pytest.approx(sc.schedule.t_final)
+
+    @pytest.mark.parametrize(
+        "gamma, direction", [(math.nan, [0, 0, 1]), (10.0, [math.inf, 0, 0])]
+    )
+    def test_non_finite_measurement_rejected(self, gamma, direction):
+        data = base_config(measurements=[{"t1": 1.0, "gamma": gamma, "direction": direction}])
+        with pytest.raises(ScenarioError, match=r"measurements\[0\]"):
+            scenario_from_dict(data)
 
     def test_measurement_must_fit(self):
         data = base_config(
@@ -233,7 +243,7 @@ class TestScenarioMeasurement:
         _, rho_out = measure(
             traj.states[traj.row_index(lo)],
             window.direction,
-            sc.measurement_gammas[0],
+            window.gamma,
             sc.omega_l,
             t1=window.t1,
         )
@@ -480,8 +490,9 @@ class TestResolvedEcho:
         data = base_config(gates={"sequence": ["not"], "n_delay": 2})
         del data["time"]
         sc = scenario_from_dict(data)
-        assert sc.resolved["time"]["t_final"] == pytest.approx(sc.schedule.t_final)
-        assert sc.resolved["level"]["omega_l"] == OMEGA_L
+        echo = resolved_echo(sc)
+        assert echo["time"]["t_final"] == pytest.approx(sc.schedule.t_final)
+        assert echo["level"]["omega_l"] == OMEGA_L
         out = tmp_path / "run"
         run_scenario(sc, out)
         manifest = json.loads((out / MANIFEST_NAME).read_text())
@@ -490,3 +501,113 @@ class TestResolvedEcho:
         )
         assert len(manifest["gates"]) == 1
         assert manifest["gates"][0]["kind"] == "not"
+
+    def test_docstring_example_echoes_every_section(self):
+        """The module docstring's example sets every schema key; its echo
+        holds each effective value, derived ones included."""
+        block = scenario_module.__doc__.split("describing a run:\n\n")[1]
+        block = block.split("\n\nUnits are fixed")[0]
+        data = yaml.safe_load("\n".join(line[4:] for line in block.split("\n")))
+        echo = resolved_echo(scenario_from_dict(data))
+
+        t_l = 2.0 * math.pi / 0.2675
+        window = 2.3488542267
+        tau = window / 16.0
+        expected = {
+            "schema_version": 1,
+            "name": "optional label",
+            "seed": 42,
+            "level": {
+                "omega_l": 0.2675,
+                "axis_rotation": {
+                    "t0": 100.0,
+                    "a": 10.0,
+                    "from": [0.0, 0.0, 1.0],
+                    "to": [1.0, 0.0, 0.0],
+                },
+            },
+            "initial": {"bloch": [0.5, 0.0, 0.8]},
+            "time": {"t_final": 500.0},
+            "gates": {
+                "sequence": ["not", "hadamard"],
+                "n_delay": 2,
+                "window": window,
+                "tau": tau,
+                # two gates, each T_D = 2 T_L plus its frozen span, then n_tail T_L
+                "t_final": 2 * (2.0 * t_l + window + 4.0 * tau) + t_l,
+            },
+            "lindblads": [
+                {
+                    "label": "steady-sz",
+                    "alpha0": [0.0, 0.0],
+                    "alpha": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                    "gamma": 0.00213,
+                    "feedback": False,
+                },
+                {
+                    "label": "",
+                    "alpha0": [0.0, 0.0],
+                    "alpha": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                    "gamma": 0.001,
+                    "feedback": False,
+                },
+            ],
+            "noise": {
+                "count": 8,
+                "start": 46.977084535,
+                "end": 531.0,
+                "width": 0.47,
+                "edge_tau": 0.047,
+                "gamma": 0.107,
+                "coincide_gate": False,
+            },
+            "measurements": [
+                {
+                    "t1": 120.0,
+                    "t2": 120.0 + math.pi / 26.752,
+                    "direction": [math.sqrt(0.5), 0.0, math.sqrt(0.5)],
+                    "gamma": 26.752,
+                }
+            ],
+            "beretta": {"gamma2": 0.002675},
+            "bath": {"gamma3": 0.0013375, "temperature": 27.3, "variant": "korsch"},
+            "integrator": {
+                "base_step": None,
+                "pulse_refinement": 50,
+                "validate_every": 100,
+                "positivity_floor": -1.0e-9,
+            },
+            "outputs": {"samples": 500, "grid_report": True, "svg": False},
+        }
+        assert_same_document(echo, expected)
+        # the echo is plain data: it survives a JSON round trip unchanged
+        assert json.loads(json.dumps(echo)) == echo
+
+    def test_defaults_echoed(self):
+        echo = resolved_echo(scenario_from_dict(base_config(outputs={})))
+        assert echo["integrator"] == {
+            "base_step": None,
+            "pulse_refinement": 50,
+            "validate_every": 100,
+            "positivity_floor": -1e-9,
+        }
+        assert echo["outputs"] == {"samples": 500, "grid_report": True, "svg": False}
+        for section in ("gates", "lindblads", "noise", "measurements", "beretta", "bath"):
+            assert section not in echo
+        assert "axis_rotation" not in echo["level"]
+
+
+def assert_same_document(got, expected, path="echo"):
+    """Equal structure and values; derived floats may differ by roundoff."""
+    if isinstance(expected, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(expected), path
+        for key in expected:
+            assert_same_document(got[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(got, list) and len(got) == len(expected), path
+        for i, (g, e) in enumerate(zip(got, expected)):
+            assert_same_document(g, e, f"{path}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(got, float) and got == pytest.approx(expected, rel=1e-14, abs=0.0), path
+    else:
+        assert type(got) is type(expected) and got == expected, path
